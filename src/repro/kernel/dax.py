@@ -649,12 +649,17 @@ class DaxMapping:
             ncommit = nnew * 64.0 / self._real_page
         if ncommit <= 0:
             return
+        ctx.delay(self._sync_commit_ns(ctx) * ncommit, note="map-sync-commit")
+
+    def _sync_commit_ns(self, ctx) -> float:
+        """One synchronous journal commit, of which only the parallel
+        fraction overlaps across concurrently faulting ranks."""
+        k = ctx.machine.kernel
         keff = min(self.nprocs, ctx.machine.cpu.physical_cores)
-        per_fault = k.map_sync_commit_ns * (
+        return k.map_sync_commit_ns * (
             (1.0 - k.map_sync_parallel_fraction)
             + k.map_sync_parallel_fraction / keff
         )
-        ctx.delay(per_fault * ncommit, note="map-sync-commit")
 
     # -- data access -------------------------------------------------------------
 
@@ -709,6 +714,49 @@ class DaxMapping:
         self._check_range(offset, size)
         self._charge_faults(ctx, offset, size)
 
+    def touch_rows(self, ctx, offsets: np.ndarray, sizes: np.ndarray) -> tuple:
+        """Vector form of :meth:`touch` for the read faults of N row
+        accesses: page and (MAP_SYNC) cacheline first-touch per row, in row
+        order, lines an earlier row or an earlier access touched counting
+        for nothing.  Every row is validated before any state changes.
+
+        The delays are returned, not charged — a row's faults precede *its*
+        read in the trace, so they go out with the rows' reads as the
+        ``lead`` columns of ``charge_pmem_read_rows``: per fault kind
+        ``(note, ns_per_row)``, kinds no row pays left out."""
+        self._check_open()
+        if not len(offsets):
+            return ()
+        ends = offsets + sizes
+        if sizes.min() < 0:
+            raise BadAddressError("bad mapping range: negative row size")
+        lo = int(offsets.min())
+        self._check_range(lo, int(ends.max()) - lo)
+
+        def first_touches(touched: set[int], granule: int):
+            first = offsets // granule  # an empty row touches nothing
+            return _first_touches(
+                touched, first, np.where(sizes > 0, -(-ends // granule), first))
+
+        lead = []
+        page = self._real_page
+        nfaults, pages = first_touches(self._touched, page)
+        if pages:
+            page_fault_ns = ctx.machine.kernel.page_fault_ns
+            lead.append(("page-fault", [
+                page_fault_ns * n if n else 0.0 for n in nfaults]))
+        lines = []
+        if self.flags & MapFlags.SYNC:
+            nnew, lines = first_touches(self._touched_lines, 64)
+            if lines:
+                per_fault = self._sync_commit_ns(ctx)
+                lead.append(("map-sync-commit", [
+                    per_fault * (n * 64.0 / page) if n else 0.0
+                    for n in nnew]))
+        self._touched.update(pages)
+        self._touched_lines.update(lines)
+        return tuple(lead)
+
     def view(self, offset: int, size: int) -> np.ndarray:
         """Zero-copy read-only view; requires the range to live in a single
         extent (guaranteed for contiguously fallocated files)."""
@@ -739,6 +787,40 @@ class DaxMapping:
 
         syscall(ctx, note="munmap")
         self.closed = True
+
+
+def _first_touches(touched: set[int], lo: np.ndarray,
+                   hi: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per row ``i``, how many ids of ``[lo[i], hi[i])`` neither an earlier
+    row nor ``touched`` holds, and those ids (``touched`` is not updated)."""
+    span = hi - lo
+    total = int(span.sum())
+    row_first = np.cumsum(span) - span
+    ids = np.repeat(lo - row_first, span) + np.arange(total)
+    uniq, first = np.unique(ids, return_index=True)
+    seen = touched.intersection(uniq.tolist())
+    if seen:
+        fresh = np.isin(
+            uniq, np.fromiter(seen, np.int64, len(seen)), invert=True)
+        uniq, first = uniq[fresh], first[fresh]
+    rows = np.searchsorted(row_first, first, side="right") - 1
+    return (np.bincount(rows, minlength=len(lo)).tolist(), uniq.tolist())
+
+
+def touch_rows(region, ctx, offsets: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Fault accounting for N row accesses through any region: its
+    ``touch_rows`` where it has one (see :meth:`DaxMapping.touch_rows` for
+    what comes back), else one ``touch`` per row — charged at once, ahead
+    of the reads, but never skipped — and nothing for a region without a
+    fault model."""
+    batch = getattr(region, "touch_rows", None)
+    if batch is not None:
+        return batch(ctx, offsets, sizes)
+    touch = getattr(region, "touch", None)
+    if touch is not None:
+        for offset, size in zip(offsets.tolist(), sizes.tolist()):
+            touch(ctx, offset, size)
+    return ()
 
 
 class _SharedMetaLock:

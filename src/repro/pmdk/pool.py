@@ -35,6 +35,7 @@ import zlib
 import numpy as np
 
 from ..errors import BadAddressError, PoolCorruptError
+from ..kernel.dax import touch_rows
 from ..shm.sync import LocalLockProvider
 from ..mem.device import PMEMDevice
 from ..mem.memcpy import charge_pmem_read, charge_pmem_write
@@ -156,6 +157,11 @@ class PmemPool:
         touch = getattr(region, "touch", None)
         if touch is not None:
             touch(ctx, off, size)
+
+    def touch_rows(self, ctx, offs, sizes) -> tuple:
+        """Vector form of :meth:`touch` (see ``repro.kernel.dax.touch_rows``
+        for what this rank's region makes of it)."""
+        return touch_rows(self.region(ctx), ctx, offs, sizes)
 
     def read_u64(self, ctx, off: int) -> int:
         return int(self.read(ctx, off, 8).view("<u8")[0])

@@ -37,6 +37,7 @@ Only the µs-scale metadata edits ever serialize, never the data path.
 from __future__ import annotations
 
 import copy
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,7 +49,6 @@ from ..errors import (
     PmemcpyError,
 )
 from ..serial import DramSink, DramSource, get_serializer
-from ..serial.base import array_from_bytes
 from ..serial.filters import FilterPipeline
 from ..telemetry import LANE_BOUNDS, counters_for, metrics_for, record, span
 from ..telemetry.export import registry_percentiles
@@ -585,25 +585,23 @@ class PMEM:
 
     def _load_chunk_ranged(self, ctx, meta, serializer, chunk, sel, out) -> int:
         """The zero-staging *partial*-read path: decode the record header,
-        then fetch only the selection's intersecting row segments with
-        ``Source.read_at`` — bytes outside the selection never move."""
+        then fetch only the selection's intersecting row segments — all of
+        them in one ``Source.read_rows`` call, each charged as its own
+        ranged read — so bytes outside the selection never move."""
         itemsize = np.dtype(meta.dtype).itemsize
         with span(ctx, "load.read") as s:
             source = self.layout.extent_source(ctx, meta.name, chunk)
             hdr = serializer.read_header(ctx, source)
-            flat = out.reshape(-1) if out.flags.c_contiguous else out.flat
-            copied = 0
-            payload_read = 0
-            for run in sel.runs(chunk.offsets, chunk.dims):
-                seg = source.read_at(
-                    hdr.payload_off + run.src * itemsize,
-                    run.nelems * itemsize, payload=True,
-                )
-                flat[run.dst : run.dst + run.nelems] = array_from_bytes(
-                    seg, meta.dtype, (run.nelems,)
-                )
-                copied += run.nelems
-                payload_read += run.nelems * itemsize
+            src, _dst, nelems = sel.run_table(chunk.offsets, chunk.dims)
+            payload = source.read_rows(
+                hdr.payload_off, math.prod(chunk.dims) * itemsize,
+                src * itemsize, nelems * itemsize,
+            )
+            copied = sel.scatter_into(
+                out, payload.view(meta.dtype).reshape(chunk.dims),
+                chunk.offsets,
+            )
+            payload_read = copied * itemsize
             serializer._charge_unpack_cpu(ctx, payload_read)
             stored_read = hdr.payload_off + payload_read
             record(ctx, "pmemcpy_stored_read_bytes", stored_read)

@@ -20,10 +20,10 @@ questions:
    ``extent_source`` stream bytes directly in and out of PMEM (the paper's
    zero-staging path); ``free_extent`` releases a chunk by its record.
    Sources are **segment-granular**: beyond the sequential ``read`` cursor
-   they serve ``read_at(offset, nbytes)`` ranged reads, so a selection
-   load can fetch only the intersecting row segments of a record straight
-   off the mapped device — bytes outside the selection are never moved or
-   charged.
+   they serve ``read_at(offset, nbytes)`` ranged reads and their batch
+   form ``read_rows``, so a selection load can fetch only the intersecting
+   row segments of a record straight off the mapped device — bytes outside
+   the selection are never moved or charged.
 3. *Lifecycle*: ``setup`` / ``teardown`` (collective map/unmap).
 4. *Introspection*: ``occupancy`` reports backend capacity usage for
    ``PMEM.stats()``.
@@ -168,8 +168,8 @@ class Layout(ABC):
 
         The returned source must honour the segment-granular contract:
         ``read_at(offset, nbytes)`` serves an absolute-offset ranged read
-        within the record without staging the rest of it (see module
-        docstring, point 2)."""
+        within the record without staging the rest of it, ``read_rows`` a
+        table of them in one call (see module docstring, point 2)."""
 
     @abstractmethod
     def free_extent(self, ctx, name: str, chunk: Chunk) -> None:

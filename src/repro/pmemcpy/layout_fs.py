@@ -268,8 +268,9 @@ class HierarchicalLayout(Layout):
     def extent_source(self, ctx, name: str, chunk) -> PmemSource:
         # the chunk file is mapped whole (DAX: a map is an address range,
         # not a transfer) and the PmemSource serves segment-granular
-        # ``read_at`` views of it, so partial reads only ever touch — and
-        # only ever get charged for — their intersecting row segments
+        # ``read_at``/``read_rows`` views of it, so partial reads only ever
+        # touch — and only ever get charged for — their intersecting row
+        # segments
         mapping = self.open_chunk(ctx, name, chunk.blob_off)
         return PmemSource(ctx, mapping, base=0, size=chunk.blob_len)
 

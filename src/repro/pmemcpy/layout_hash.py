@@ -270,8 +270,9 @@ class HashtableLayout(Layout):
     def extent_source(self, ctx, name: str, chunk) -> PmemSource:
         # read through *this rank's* mapping so another rank's munmap can't
         # invalidate an in-flight load.  PmemSource over the pool region is
-        # segment-granular: ``read_at`` views any (offset, nbytes) range of
-        # the record in place, so partial reads touch only their segments.
+        # segment-granular: ``read_at``/``read_rows`` view any (offset,
+        # nbytes) range of the record in place, so partial reads touch only
+        # their segments.
         return PmemSource(
             ctx, _RankPoolRegion(self.pool, ctx),
             base=chunk.blob_off, size=chunk.blob_len,
@@ -308,6 +309,9 @@ class _RankPoolRegion:
 
     def touch(self, ctx, off: int, size: int) -> None:
         self.pool.touch(ctx, off, size)
+
+    def touch_rows(self, ctx, offs, sizes) -> tuple:
+        return self.pool.touch_rows(ctx, offs, sizes)
 
     def write(self, ctx, off: int, data, *, model_bytes=None):
         return self.pool.region(ctx).write(ctx, off, data, model_bytes=model_bytes)

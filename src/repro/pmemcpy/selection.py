@@ -20,11 +20,13 @@ The algebra every storage layer builds on:
 - *chunk intersection* — :meth:`Selection.intersects` /
   :meth:`Selection.overlap_count` restrict a selection to one stored
   chunk's box without enumerating elements;
-- *row segments* — :meth:`Selection.runs` iterates the maximal contiguous
-  (row-major) element runs of the selection inside a box, each paired with
-  its contiguous destination offset in the result buffer.  This is what
-  the zero-staging partial-read path feeds to ``Source.read_at`` and what
-  the file-library baselines turn into strided MPI-IO extents;
+- *row segments* — :meth:`Selection.run_table` enumerates the maximal
+  contiguous (row-major) element runs of the selection inside a box, each
+  paired with its contiguous destination offset in the result buffer, as
+  one table of int64 arrays (:meth:`Selection.runs` iterates it).  This is
+  what the zero-staging partial-read path hands to ``Source.read_rows`` in
+  one call and what the file-library baselines turn into strided MPI-IO
+  extents;
 - *numpy transfer* — :meth:`Selection.scatter_into` /
   :meth:`Selection.gather_from` move elements between a decoded region
   array and the (possibly non-contiguously strided) result buffer using
@@ -103,8 +105,16 @@ class Selection(ABC):
         return self.overlap_count(offsets, dims) > 0
 
     @abstractmethod
+    def run_table(self, offsets, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The maximal contiguous row segments inside the box as three
+        parallel int64 arrays ``(src, dst, nelems)`` — one :class:`Run` per
+        index, in result order.  The whole enumeration in one table is what
+        the partial-read path hands down the stack in a single call."""
+
     def runs(self, offsets, dims) -> Iterator[Run]:
-        """Maximal contiguous row segments inside the box (see :class:`Run`)."""
+        """:meth:`run_table`, one :class:`Run` at a time."""
+        src, dst, nelems = self.run_table(offsets, dims)
+        return map(Run, src.tolist(), dst.tolist(), nelems.tolist())
 
     @abstractmethod
     def scatter_into(self, out: np.ndarray, region: np.ndarray, offsets) -> int:
@@ -255,39 +265,33 @@ class Hyperslab(Selection):
                 return 0
         return total
 
-    def runs(self, offsets, dims) -> Iterator[Run]:
+    def run_table(self, offsets, dims):
         offsets = tuple(int(o) for o in offsets)
         dims = tuple(int(d) for d in dims)
         if self.rank == 0:
-            yield Run(0, 0, 1)
-            return
+            zero = np.zeros(1, dtype=np.int64)
+            return zero, zero, np.ones(1, dtype=np.int64)
         axes = [self._axis_sel(ax, o, o + d)
                 for ax, (o, d) in enumerate(zip(offsets, dims))]
         if any(len(g) == 0 for g, _ in axes):
-            return
+            return _EMPTY_TABLE
         src_strides = _row_major_strides(dims)
         dst_strides = _row_major_strides(self.out_shape)
         # split the last axis into segments contiguous on both sides
         gl, ol = axes[-1]
-        brk = np.flatnonzero((np.diff(gl) != 1) | (np.diff(ol) != 1)) + 1
-        seg_bounds = np.concatenate(([0], brk, [len(gl)]))
-        segments = [
-            (int(gl[a]) - offsets[-1], int(ol[a]), int(b - a))
-            for a, b in zip(seg_bounds[:-1], seg_bounds[1:])
-        ]
-        outer = [len(g) for g, _ in axes[:-1]]
-        for idx in np.ndindex(*outer):
-            src_base = sum(
-                (int(axes[ax][0][i]) - offsets[ax]) * src_strides[ax]
-                for ax, i in enumerate(idx)
-            )
-            dst_base = sum(
-                int(axes[ax][1][i]) * dst_strides[ax]
-                for ax, i in enumerate(idx)
-            )
-            for g0, o0, n in segments:
-                yield Run(src_base + g0 * src_strides[-1],
-                          dst_base + o0 * dst_strides[-1], n)
+        first = np.concatenate(
+            ([0], np.flatnonzero((np.diff(gl) != 1) | (np.diff(ol) != 1)) + 1)
+        )
+        seg_len = np.diff(np.concatenate((first, [len(gl)])))
+        src = (gl[first] - offsets[-1]) * src_strides[-1]
+        dst = ol[first] * dst_strides[-1]
+        # outer sum over the remaining axes, innermost first, so the table
+        # comes out row-major with the last axis varying fastest
+        for ax in range(self.rank - 2, -1, -1):
+            g, o = axes[ax]
+            src = (((g - offsets[ax]) * src_strides[ax])[:, None] + src).ravel()
+            dst = ((o * dst_strides[ax])[:, None] + dst).ravel()
+        return src, dst, np.tile(seg_len, len(src) // len(seg_len))
 
     def _slice_pairs(self, offsets, dims) -> Iterator[tuple[tuple, tuple]]:
         """(src_slices, dst_slices) index-tuple pairs: src indexes a
@@ -498,26 +502,21 @@ class PointSelection(Selection):
     def overlap_count(self, offsets, dims) -> int:
         return int(self._inside(offsets, dims).sum())
 
-    def runs(self, offsets, dims) -> Iterator[Run]:
-        mask = self._inside(offsets, dims)
-        if not mask.any():
-            return
-        offsets = np.asarray(offsets, dtype=np.int64)
-        strides = np.asarray(_row_major_strides(dims), dtype=np.int64)
-        idx = np.flatnonzero(mask)
-        rel = self.points[idx] - offsets
-        src = rel @ strides if self.rank else np.zeros(len(idx), np.int64)
+    def run_table(self, offsets, dims):
+        idx = np.flatnonzero(self._inside(offsets, dims))
+        if not len(idx):
+            return _EMPTY_TABLE
+        if self.rank:
+            rel = self.points[idx] - np.asarray(offsets, dtype=np.int64)
+            src = rel @ np.asarray(_row_major_strides(dims), dtype=np.int64)
+        else:
+            src = np.zeros(len(idx), dtype=np.int64)
         # coalesce list-adjacent points that are also row-adjacent
-        run_src = int(src[0])
-        run_dst = int(idx[0])
-        n = 1
-        for k in range(1, len(idx)):
-            if int(idx[k]) == run_dst + n and int(src[k]) == run_src + n:
-                n += 1
-                continue
-            yield Run(run_src, run_dst, n)
-            run_src, run_dst, n = int(src[k]), int(idx[k]), 1
-        yield Run(run_src, run_dst, n)
+        first = np.concatenate(
+            ([0], np.flatnonzero((np.diff(idx) != 1) | (np.diff(src) != 1)) + 1)
+        )
+        return (src[first], idx[first],
+                np.diff(np.concatenate((first, [len(idx)]))))
 
     def _indexers(self, offsets, dims):
         mask = self._inside(offsets, dims)
@@ -548,6 +547,9 @@ class PointSelection(Selection):
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+_EMPTY_TABLE = (np.empty(0, dtype=np.int64),) * 3
+
 
 def _row_major_strides(dims) -> tuple[int, ...]:
     """Element (not byte) strides of a C-ordered array of shape ``dims``."""

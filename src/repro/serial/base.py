@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
 from ..errors import SerializationError
-from ..mem.memcpy import charge_dram_copy, charge_cpu, charge_pmem_read
-from ..telemetry import record, span
+from ..kernel.dax import touch_rows
+from ..mem.memcpy import (
+    charge_cpu,
+    charge_dram_copy,
+    charge_pmem_read,
+    charge_pmem_read_rows,
+)
+from ..telemetry import record, span, tracer_for
 
 
 def dtype_to_token(dtype: np.dtype) -> str:
@@ -126,6 +133,17 @@ class Source(ABC):
             f"{type(self).__name__} does not support ranged reads"
         )
 
+    def read_rows(self, offset: int, n: int, row_off: np.ndarray,
+                  row_len: np.ndarray) -> np.ndarray:
+        """Batch ranged read: one zero-copy view of the ``n`` bytes at
+        absolute ``offset``, of which only the row segments ``(offset +
+        row_off[i], row_len[i])`` are accessed — charged, in row order, as
+        one payload :meth:`read_at` each.  How the partial-read path
+        fetches all of a chunk's intersecting row segments in one call."""
+        raise SerializationError(
+            f"{type(self).__name__} does not support ranged reads"
+        )
+
 
 class DramSource(Source):
     """Unpack from a DRAM buffer (after a staging read)."""
@@ -227,6 +245,38 @@ class PmemSource(Source):
             charge_pmem_read(self.ctx, float(n), note="pmem-deserialize")
         return out
 
+    def read_rows(self, offset: int, n: int, row_off: np.ndarray,
+                  row_len: np.ndarray) -> np.ndarray:
+        """Row segments straight off the mapped device (see
+        :meth:`Source.read_rows`): every row is checked and the view taken
+        before anything is charged, the region accounts the faults of all
+        rows in one call, and each row then records exactly what its
+        ``read_at(..., payload=True)`` would — fault delays, read charge,
+        counters, access-size sample and ``memcpy`` span."""
+        ctx = self.ctx
+        if offset < 0 or n < 0 or offset + n > self.size:
+            raise SerializationError(
+                f"short region: wanted {n} at {offset}, have {self.size}"
+            )
+        if len(row_off) and (
+            row_off.min() < 0 or row_len.min() <= 0
+            or (row_off + row_len).max() > n
+        ):
+            raise SerializationError(
+                f"row segments leave the {n} bytes at {offset}"
+            )
+        out = self.region.view(self.base + offset, n)
+        lead = touch_rows(
+            self.region, ctx, row_off + (self.base + offset), row_len)
+        sizes = row_len.tolist()
+        starts, ends = charge_pmem_read_rows(
+            ctx, [ctx.model_bytes(size) for size in sizes],
+            note="pmem-deserialize", lead=lead,
+        )
+        tracer_for(ctx).leaves(
+            ctx, "memcpy", starts, ends, [{"bytes": size} for size in sizes])
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Serializer base
@@ -303,7 +353,7 @@ def payload_view(array: np.ndarray) -> np.ndarray:
 def array_from_bytes(buf: np.ndarray, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
     """Rebuild an ndarray from packed bytes (copies out of views so callers
     own their data)."""
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize
     if buf.size != expected:
         raise SerializationError(
             f"payload is {buf.size} bytes, dtype/shape need {expected}"

@@ -16,7 +16,8 @@ environment variable (``threads`` | ``procs``), else ``threads``.
 The :class:`Context` is the single funnel through which every substrate
 records costs:
 
-- ``ctx.delay(ns)`` / ``ctx.transfer(resource, amount, cap)`` append trace ops;
+- ``ctx.delay(ns)`` / ``ctx.transfer(resource, amount, cap)`` append trace ops
+  (``ctx.append_ops(ops)`` is their bulk form);
 - ``ctx.model_bytes(n)`` converts functional-pass byte counts to paper-scale
   modeled bytes;
 - ``ctx.barrier()`` both synchronizes the ranks *and* records a Barrier op;
@@ -34,6 +35,7 @@ costs, which dominate every reported figure, are exactly reproducible.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from abc import ABC, abstractmethod
@@ -269,6 +271,38 @@ class Context:
                 note=note,
             )
         )
+
+    def append_ops(self, ops: list) -> list[float]:
+        """Record pre-built :class:`Delay`/:class:`Transfer` ops in one
+        call — what the matching :meth:`delay`/:meth:`transfer` calls would
+        record one by one.  The caller builds them for the current phase,
+        with positive sizes, and such that no op could merge with the one
+        before it in ``ops`` (instances may be shared: ops are frozen), so
+        the adjacent-op merge rule only ever applies to the first, against
+        the trace's tail.  Returns the :attr:`lb_ns` clock before each op
+        plus the one after the last (``len(ops) + 1`` values), advanced by
+        the same float additions the one-by-one calls make."""
+        if not ops:
+            return [self.lb_ns]
+        first = ops[0]
+        if first.phase != self.current_phase:
+            raise ValueError(
+                f"ops built for phase {first.phase!r}, "
+                f"current is {self.current_phase!r}"
+            )
+        clock = list(itertools.accumulate(
+            (op.ns if type(op) is Delay else op.amount / op.stream_cap
+             for op in ops),
+            initial=self.lb_ns,
+        ))
+        if type(first) is Delay:
+            self.delay(first.ns, note=first.note)
+        else:
+            self.transfer(first.resource, first.amount, first.stream_cap,
+                          note=first.note)
+        self.trace.ops.extend(itertools.islice(ops, 1, None))
+        self.lb_ns = clock[-1]
+        return clock
 
     # -- lock discipline -------------------------------------------------------
 

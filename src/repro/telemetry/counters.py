@@ -24,6 +24,8 @@ The counter taxonomy (see DESIGN.md "I/O telemetry"):
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Iterable
 
 
@@ -41,6 +43,17 @@ class Counters:
         if amount < 0:
             raise ValueError(f"counter {name!r}: negative increment {amount}")
         self._c[name] = self._c.get(name, 0.0) + amount
+
+    def add_each(self, name: str, amounts: list[float]) -> None:
+        """:meth:`add` each of ``amounts`` in order (a float total depends
+        on the order of its additions, so they are not pre-summed)."""
+        if not amounts:
+            return
+        if min(amounts) < 0:
+            raise ValueError(
+                f"counter {name!r}: negative increment {min(amounts)}")
+        self._c[name] = functools.reduce(
+            operator.add, amounts, self._c.get(name, 0.0))
 
     def merge(self, other: "Counters") -> "Counters":
         for name, v in other._c.items():

@@ -26,6 +26,9 @@ overflowing into the last bucket beyond — replacing the unbounded
 
 from __future__ import annotations
 
+import collections
+import functools
+import operator
 from bisect import bisect_left
 from typing import Iterable
 
@@ -133,6 +136,19 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
+
+    def observe_many(self, values: list[float]) -> None:
+        """:meth:`observe` each of ``values`` in order: ``sum`` accumulates
+        by the same sequence of float additions, so the state afterwards is
+        what the one-by-one calls leave."""
+        if not values:
+            return
+        for value, n in collections.Counter(values).items():
+            self.buckets[self._index(value)] += n
+        self.count += len(values)
+        self.sum = functools.reduce(operator.add, values, self.sum)
+        self.min = min(self.min, min(values))
+        self.max = max(self.max, max(values))
 
     def merge(self, other: "Histogram") -> None:
         if self.bounds != other.bounds:

@@ -151,14 +151,43 @@ class Tracer:
         span.status = status
         self.trace.spans.append(span)
         # latency distribution survives even without the tree
-        h = self._hists.get(span.name)
-        if h is None:
-            from . import metrics_for
-
-            h = self._hists[span.name] = metrics_for(ctx).histogram(
-                f"span.{span.name}.ns"
-            )
+        h = self._hists.get(span.name) or self._hist(ctx, span.name)
         h.observe(span.end_ns - span.start_ns)
+
+    def _hist(self, ctx, name: str):
+        """The ``span.<name>.ns`` histogram, cached on first use."""
+        from . import metrics_for
+
+        h = self._hists[name] = metrics_for(ctx).histogram(f"span.{name}.ns")
+        return h
+
+    def leaves(self, ctx, name: str, starts: list[float], ends: list[float],
+               attrs: list[dict | None]) -> None:
+        """Record ``len(starts)`` childless spans that opened and closed
+        one after the other at the given clocks — what a ``begin``/``end``
+        pair per span records, sampling rules included, in one pass."""
+        if self.mode == "off":
+            return
+        keep = range(len(starts))
+        parent = None
+        if self.stack:
+            if self.stack[-1] is _SUPPRESSED:
+                return
+            parent = self.stack[-1].span_id
+        elif self.mode == "sampled":
+            seen = self._roots_seen
+            self._roots_seen += len(starts)
+            keep = [i for i in keep if (seen + i) % SAMPLE_EVERY == 0]
+        spans = []
+        for i in keep:
+            s = Span(next(_span_ids), parent, name, self.rank, starts[i],
+                     attrs[i])
+            s.end_ns = ends[i]
+            spans.append(s)
+        if spans:
+            self.trace.spans.extend(spans)
+            h = self._hists.get(name) or self._hist(ctx, name)
+            h.observe_many([s.end_ns - s.start_ns for s in spans])
 
     @property
     def depth(self) -> int:

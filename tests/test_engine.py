@@ -5,7 +5,8 @@ import pytest
 from repro.config import DEFAULT_MACHINE
 from repro.errors import RankFailedError
 from repro.sim import run_spmd
-from repro.sim.trace import Barrier
+from repro.sim.procengine import procs_available
+from repro.sim.trace import Barrier, Delay, Transfer
 
 
 class TestRunSpmd:
@@ -64,6 +65,84 @@ class TestContext:
 
         res = run_spmd(1, fn)
         assert res.traces[0].ops == []
+
+    @pytest.mark.parametrize("tail", ["none", "delay", "transfer",
+                                      "other-note", "other-phase"])
+    @pytest.mark.parametrize("first", ["delay", "transfer"])
+    def test_append_ops_equals_one_by_one(self, tail, first):
+        """The bulk append leaves the trace and the lb clock exactly where
+        delay()/transfer() calls leave them, first-op merge included."""
+        def fn(ctx, bulk):
+            with ctx.phase("p"):
+                if tail == "delay":
+                    ctx.delay(0.1, note="n")
+                elif tail == "transfer":
+                    ctx.transfer("pmem_read", 0.7, 3.0, note="n")
+                elif tail == "other-note":
+                    ctx.delay(0.1, note="m") if first == "delay" else \
+                        ctx.transfer("pmem_read", 0.7, 3.0, note="m")
+                elif tail == "other-phase":
+                    with ctx.phase("setup"):
+                        ctx.delay(0.1, note="n") if first == "delay" else \
+                            ctx.transfer("pmem_read", 0.7, 3.0, note="n")
+                steps = [("d", 0.3), ("t", 0.1), ("d", 0.3), ("t", 0.2)] * 40
+                if first == "transfer":
+                    steps = steps[1:]
+                if not bulk:
+                    clock = [ctx.lb_ns]
+                    for kind, x in steps:
+                        if kind == "d":
+                            ctx.delay(x, note="n")
+                        else:
+                            ctx.transfer("pmem_read", x, 3.0, note="n")
+                        clock.append(ctx.lb_ns)
+                else:
+                    # equal ops are one shared (frozen) instance
+                    made = {}
+                    ops = [
+                        made.setdefault(
+                            (kind, x),
+                            Delay(x, "p", "n") if kind == "d"
+                            else Transfer("pmem_read", x, 3.0, "p", "n"))
+                        for kind, x in steps
+                    ]
+                    clock = ctx.append_ops(ops)
+                    assert ctx.append_ops([]) == [ctx.lb_ns]
+            return clock, ctx.lb_ns
+
+        one = run_spmd(1, lambda ctx: fn(ctx, False))
+        many = run_spmd(1, lambda ctx: fn(ctx, True))
+        assert many.returns == one.returns
+        assert many.traces[0].ops == one.traces[0].ops
+        assert many.makespan_ns == one.makespan_ns
+        merged = tail == first
+        assert len(one.traces[0].ops) == (
+            (tail != "none") + 160 - (first == "transfer") - merged)
+
+    def test_append_ops_rejects_a_stale_phase(self):
+        def fn(ctx):
+            with pytest.raises(ValueError):
+                ctx.append_ops([Delay(1.0, "elsewhere", "")])
+            return ctx.lb_ns
+
+        res = run_spmd(1, fn)
+        assert res.returns == [0.0] and res.traces[0].ops == []
+
+    @pytest.mark.skipif(not procs_available(),
+                        reason="procs engine needs os.fork")
+    def test_append_ops_shared_instances_survive_the_procs_pickle(self):
+        def fn(ctx):
+            d, t = Delay(0.3, "", "n"), Transfer("pmem_read", 0.1, 3.0, "", "n")
+            ctx.transfer("cpu", 1.0, 1.0)
+            ctx.append_ops([d, t] * 100)
+
+        fresh = [Transfer("cpu", 1.0, 1.0)]
+        for _ in range(100):
+            fresh += [Delay(0.3, "", "n"),
+                      Transfer("pmem_read", 0.1, 3.0, "", "n")]
+        for engine in ("threads", "procs"):
+            res = run_spmd(1, fn, engine=engine)
+            assert res.traces[0].ops == fresh
 
     def test_barrier_records_matching_ids(self):
         def fn(ctx):

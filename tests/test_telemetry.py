@@ -8,7 +8,10 @@ the schema validator; per-rank metric registries aggregate across ranks;
 and driver phase accounting stays correct on error paths.
 """
 
+import functools
 import json
+import operator
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from repro.telemetry import (
     LANE_BOUNDS,
     LOG2_BOUNDS,
     Counter,
+    Counters,
     Gauge,
     Histogram,
     MetricRegistry,
@@ -29,6 +33,7 @@ from repro.telemetry import (
     spans_of,
     tracer_for,
 )
+from repro.telemetry.spans import reseed_span_ids
 from repro.telemetry.export import (
     chrome_trace,
     darshan_records,
@@ -125,6 +130,39 @@ class TestMetricPrimitives:
         assert h.quantile(0.5) == 8
         assert h.quantile(1.0) == 128
         assert h.min == 1 and h.max == 128
+
+    @pytest.mark.parametrize("bounds", [LOG2_BOUNDS, LANE_BOUNDS])
+    def test_observe_many_equals_observe_each(self, bounds):
+        # 0.1 added n times is not n * 0.1: sum must keep the float order
+        for values in ([0.1] * 1000, [0.1, 3.0, 0.1, 1e18, 2.5, 0.1], [7.0], []):
+            one, many = Histogram("h", bounds), Histogram("h", bounds)
+            for h in (one, many):
+                h.observe(0.3)
+            for v in values:
+                one.observe(v)
+            many.observe_many(values)
+            assert many.buckets == one.buckets
+            assert (many.count, many.sum, many.min, many.max) == \
+                (one.count, one.sum, one.min, one.max)
+
+    def test_counters_add_each_equals_add_each_time(self):
+        one, many = Counters(), Counters()
+        amounts = [0.1] * 1000 + [0.7, 3.0]
+        for c in (one, many):
+            c.add("b", 0.3)
+        for a in amounts:
+            one.add("b", a)
+        many.add_each("b", amounts)
+        many.add_each("untouched", [])
+        assert many.as_dict() == one.as_dict()
+        # the order matters here: pre-summing the amounts lands elsewhere
+        pre = Counters()
+        pre.add("b", 0.3)
+        pre.add("b", functools.reduce(operator.add, amounts, 0.0))
+        assert pre.get("b") != one.get("b")
+        with pytest.raises(ValueError):
+            many.add_each("b", [1.0, -1.0])
+        assert many.as_dict() == one.as_dict()
 
     def test_merge_requires_matching_bounds(self):
         a = Histogram("a")
@@ -255,6 +293,44 @@ class TestTraceModes:
         # always-on families survive with tracing off
         assert reg.get("pmemcpy.store.ns").count == 2
         assert reg.get("meta.stripe.acquires").count > 0
+
+    @pytest.mark.parametrize("nested", [False, True])
+    @pytest.mark.parametrize("mode", ["off", "sampled", "full"])
+    def test_leaves_equal_begin_end_pairs(self, monkeypatch, mode, nested):
+        """``Tracer.leaves`` records what one ``span`` per leaf records:
+        same spans, same ``span.<name>.ns`` samples, same sampling."""
+        monkeypatch.setenv("REPRO_TRACE", mode)
+
+        def fn(ctx, bulk):
+            reseed_span_ids(1)
+            for rnd in range(3):
+                outer = span(ctx, "outer") if nested else nullcontext()
+                with outer:
+                    starts, ends, attrs = [], [], []
+                    for i in range(50):
+                        if bulk:
+                            starts.append(ctx.lb_ns)
+                            ctx.delay(0.1 * (i % 7 + 1))
+                            ends.append(ctx.lb_ns)
+                            attrs.append({"i": i})
+                        else:
+                            with span(ctx, "leaf", i=i):
+                                ctx.delay(0.1 * (i % 7 + 1))
+                    if bulk:
+                        tracer_for(ctx).leaves(ctx, "leaf", starts, ends, attrs)
+            h = metrics_for(ctx).get("span.leaf.ns")
+            return (
+                [(s.span_id, s.parent_id, s.name, s.start_ns, s.end_ns,
+                  s.attrs, s.status) for s in ctx.trace.spans],
+                h and (h.buckets, h.count, h.sum, h.min, h.max),
+                tracer_for(ctx)._roots_seen,
+            )
+
+        one = cluster().run(1, lambda ctx: fn(ctx, False)).returns[0]
+        many = cluster().run(1, lambda ctx: fn(ctx, True)).returns[0]
+        assert many == one
+        kept = {"off": 0, "full": 150}.get(mode, 3 if not nested else 50)
+        assert sum(s[2] == "leaf" for s in one[0]) == kept
 
     def test_sampled_keeps_one_in_n_roots(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "sampled")
