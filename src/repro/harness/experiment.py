@@ -92,7 +92,8 @@ def _job_result(library: str, nprocs: int, direction: str, res, cl) -> JobResult
     )
 
     offer_capture("spmd", res)
-    timing = res.time()
+    # the causal record first, so critical_path_spmd below reuses this replay
+    timing = res.time(record_causal=True)
     reg = merged_metrics(res.traces)
     tel = merged_counters(res.traces).as_dict()
     tel.update(reg.legacy_counters())

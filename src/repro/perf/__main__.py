@@ -228,6 +228,7 @@ def _analyze_scenario(name: str) -> tuple[dict, dict, object]:
     service = [p for kind, p in captured if kind == "service"]
     if spmd:
         res = spmd[-1]
+        # sc.run() timed res causally; this reads that replay, it runs none
         cp = critical_path_spmd(res)
         wi = whatif_report(res.traces, cp.total_ns, machine=res.machine)
         return critpath_doc(cp, whatif=wi, scenario=name), rec, res

@@ -130,7 +130,8 @@ def record_from_spmd(res) -> dict:
 
     offer_capture("spmd", res)
     return {
-        "modeled_ns": res.time().makespan_ns,
+        # the causal record first, so critical_path_spmd reuses this replay
+        "modeled_ns": res.time(record_causal=True).makespan_ns,
         "families": exclusive_ns_by_family(res.traces),
         "latency": span_latency_percentiles(merged_metrics(res.traces)),
         "critpath": critpath_summary(critical_path_spmd(res)),

@@ -381,11 +381,29 @@ class SpmdResult:
     worker_pids: tuple[int, ...] = ()
     _timing: FluidResult | None = field(default=None, repr=False)
 
-    def time(self, resources: ResourceSet | None = None) -> FluidResult:
-        """Run (and cache) the timing pass over the recorded traces."""
-        if self._timing is None or resources is not None:
-            rs = resources or build_standard_resources(self.machine)
-            self._timing = FluidSimulator(rs).run(self.traces)
+    def time(self, resources: ResourceSet | None = None, *,
+             record_causal: bool = False) -> FluidResult:
+        """Run (and cache) the timing pass over the recorded traces.
+
+        One replay per result: a consumer that will want the causal record
+        (critical path, contention) asks with ``record_causal=True`` first,
+        and everyone after it gets that same :class:`FluidResult` — its
+        ``finish_ns``/``breakdown`` are ``==`` the plain pass's.  A plain
+        result already cached is superseded the first time the causal record
+        is asked for.  An explicit ``resources`` is a what-if: it is
+        returned, never cached.
+        """
+        if resources is not None:
+            return FluidSimulator(resources).run(
+                self.traces, record_causal=record_causal
+            )
+        if self._timing is None or (
+            record_causal and self._timing.causal is None
+        ):
+            rs = build_standard_resources(self.machine)
+            self._timing = FluidSimulator(rs).run(
+                self.traces, record_causal=record_causal
+            )
         return self._timing
 
     @property

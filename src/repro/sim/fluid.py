@@ -14,6 +14,11 @@ FIFO (consecutive shared waiters batched), so metadata-lock contention is
 part of the modeled wall-clock.  Time spent waiting is charged to the
 ``lock`` bucket of the breakdown.
 
+A one-rank replay has no sharing, no waiting and no wake edges, so
+:meth:`FluidSimulator.run` walks it once in closed form — repeating the event
+loop's float arithmetic op for op, so the result is ``==`` the loop's, not
+merely close to it.  Replay cost then follows contention, not trace length.
+
 The result carries per-rank finish times and a per-(rank, phase, resource)
 time breakdown that the copy-path-decomposition benchmark (E7) reports.
 """
@@ -27,6 +32,7 @@ from .resources import ResourceSet
 from .trace import Acquire, Barrier, Delay, RankTrace, Release, Transfer
 
 _EPS = 1e-9
+_INF = float("inf")
 
 
 def waterfill(caps: list[float], capacity: float) -> list[float]:
@@ -130,6 +136,17 @@ class CausalRecord:
     #: "max_queue", "edges": {(waiter, holder): count}}
     locks: dict[str, dict] = field(default_factory=dict)
 
+    def lock_stats(self, lock_id: str) -> dict:
+        """The stats row of ``lock_id``, created zeroed on first use."""
+        st = self.locks.get(lock_id)
+        if st is None:
+            st = self.locks[lock_id] = {
+                "acquires": 0, "contended": 0, "holds": 0,
+                "hold_ns": 0.0, "wait_ns": 0.0, "max_queue": 0,
+                "edges": {},
+            }
+        return st
+
 
 @dataclass
 class FluidResult:
@@ -175,6 +192,122 @@ class FluidSimulator:
         record_timeline: bool = False,
         record_causal: bool = False,
     ) -> FluidResult:
+        if len(traces) == 1 and not record_timeline:
+            result = self._run_single(traces[0], record_causal)
+            if result is not None:
+                return result
+        return self._run_events(traces, record_timeline, record_causal)
+
+    def _run_single(
+        self, trace: RankTrace, record_causal: bool
+    ) -> FluidResult | None:
+        """Closed-form replay of a lone rank: one pass over the op list.
+
+        With one rank every share is the stream's own, nothing waits and no
+        wake edge exists, so :meth:`_run_events`'s ``waterfill``, timer heap,
+        completion scan and per-event ``charge`` sweep compute nothing.  What
+        remains is its clock arithmetic, repeated here operation for
+        operation — ``sum(ns) + sum(amount / rate)`` would associate the
+        additions differently and move ``makespan_ns`` in its last digits.
+
+        Returns None — the caller then runs the event loop — for a trace
+        the loop would reject, so every error is the loop's own, and for an
+        op the loop would not finish in one step (non-finite sizes; rounding
+        that leaves a timer unexpired).  A resource's ``capacity(1)`` is
+        read once per run.
+        """
+        rank = trace.rank
+        resources = self.resources
+        now = 0.0
+        breakdown: dict[tuple[int, str, str], float] = {}
+        capacity: dict[str, float] = {}
+        held: dict[str, bool] = {}             # lock_id -> held exclusively
+        causal = CausalRecord() if record_causal else None
+        grant_at: dict[str, float] = {}        # causal only
+
+        for index, op in enumerate(trace.ops):
+            kind = type(op)
+            if kind is Delay:
+                if op.ns <= _EPS:
+                    continue
+                bucket = "delay"
+                key = (rank, op.phase, bucket)
+                start = now
+                expiry = now + op.ns
+                dt = expiry - now
+                if dt > 0:
+                    now += dt
+                    breakdown[key] = breakdown.get(key, 0.0) + dt
+                # the loop re-checks the timer after its step; rounding has
+                # never been seen to leave it unexpired, but only the loop
+                # knows what to do then
+                if not (dt < _INF and expiry <= now + _EPS):
+                    return None
+            elif kind is Transfer:
+                amount = op.amount
+                if amount <= _EPS:
+                    continue
+                bucket = op.resource
+                cap = capacity.get(bucket)
+                if cap is None:
+                    cap = capacity[bucket] = resources[bucket].capacity(1)
+                # waterfill([stream_cap], cap): a cap within _EPS above the
+                # capacity keeps the cap
+                rate = op.stream_cap
+                if not rate <= cap + _EPS:
+                    rate = min(rate, cap)
+                key = (rank, op.phase, bucket)
+                start = now
+                dt = amount / rate
+                if not 0.0 < dt < _INF:
+                    return None
+                now += dt
+                breakdown[key] = breakdown.get(key, 0.0) + dt
+                if not amount - rate * dt <= _EPS * max(1.0, amount):
+                    return None                # the loop would step again
+            elif kind is Acquire:
+                exclusive = held.get(op.lock_id)
+                if exclusive is not None and (exclusive or not op.shared):
+                    return None                # waits on itself: deadlock
+                held[op.lock_id] = not op.shared
+                if record_causal:
+                    causal.lock_stats(op.lock_id)["acquires"] += 1
+                    grant_at[op.lock_id] = now
+                continue
+            elif kind is Release:
+                if held.pop(op.lock_id, None) is None:
+                    return None                # not held
+                if record_causal:
+                    stats = causal.locks[op.lock_id]
+                    stats["holds"] += 1
+                    stats["hold_ns"] += now - grant_at.pop(op.lock_id)
+                continue
+            elif kind is Barrier and frozenset(op.participants) == {rank}:
+                continue                       # joins itself, at once
+            else:
+                return None
+            if record_causal and now - start > _EPS:
+                causal.segments.append(
+                    (rank, index, op.phase, bucket, start, now, None)
+                )
+
+        if record_causal:
+            # a lock still held at trace end closes its hold interval here
+            for lock_id, t0 in grant_at.items():
+                stats = causal.locks[lock_id]
+                stats["holds"] += 1
+                stats["hold_ns"] += now - t0
+        return FluidResult(
+            finish_ns={rank: now}, breakdown=breakdown, causal=causal
+        )
+
+    def _run_events(
+        self,
+        traces: list[RankTrace],
+        record_timeline: bool,
+        record_causal: bool,
+    ) -> FluidResult:
+        """The general event loop: any number of ranks."""
         ranks = {t.rank for t in traces}
         if len(ranks) != len(traces):
             raise ValueError("duplicate rank in traces")
@@ -201,16 +334,6 @@ class FluidSimulator:
         causal_since: dict[int, tuple[float, int]] = {}
         lock_wait_since: dict[int, float] = {}
         lock_grant_at: dict[tuple[str, int], float] = {}
-
-        def lock_stats(lock_id: str) -> dict:
-            st = causal.locks.get(lock_id)
-            if st is None:
-                st = causal.locks[lock_id] = {
-                    "acquires": 0, "contended": 0, "holds": 0,
-                    "hold_ns": 0.0, "wait_ns": 0.0, "max_queue": 0,
-                    "edges": {},
-                }
-            return st
 
         def begin(rank: int) -> None:
             if record_timeline:
@@ -265,7 +388,7 @@ class FluidSimulator:
                 if isinstance(op, Acquire):
                     st = locks.setdefault(op.lock_id, _LockState())
                     if record_causal:
-                        lock_stats(op.lock_id)["acquires"] += 1
+                        causal.lock_stats(op.lock_id)["acquires"] += 1
                     if st.grantable(op.shared):
                         st.grant(rank, op.shared)
                         if record_causal:
@@ -273,7 +396,7 @@ class FluidSimulator:
                         pos[rank] += 1
                         continue
                     if record_causal:
-                        ls = lock_stats(op.lock_id)
+                        ls = causal.lock_stats(op.lock_id)
                         ls["contended"] += 1
                         waited_on = st.holders or {st.queue[0][0]}
                         for h in waited_on:
@@ -296,7 +419,7 @@ class FluidSimulator:
                         )
                     pos[rank] += 1
                     if record_causal:
-                        ls = lock_stats(op.lock_id)
+                        ls = causal.lock_stats(op.lock_id)
                         ls["holds"] += 1
                         ls["hold_ns"] += now - lock_grant_at.pop(
                             (op.lock_id, rank), now
@@ -304,7 +427,7 @@ class FluidSimulator:
                     for r in st.release(rank):
                         finish_interval(r, waker=rank)
                         if record_causal:
-                            ls = lock_stats(op.lock_id)
+                            ls = causal.lock_stats(op.lock_id)
                             ls["wait_ns"] += now - lock_wait_since.pop(r, now)
                             lock_grant_at[(op.lock_id, r)] = now
                         del lock_blocked[r]
@@ -414,7 +537,7 @@ class FluidSimulator:
         if record_causal:
             # a lock still held at trace end closes its hold interval here
             for (lock_id, rank), t0 in lock_grant_at.items():
-                ls = lock_stats(lock_id)
+                ls = causal.lock_stats(lock_id)
                 ls["holds"] += 1
                 ls["hold_ns"] += now - t0
             causal.segments.sort(key=lambda s: (s[0], s[4], s[1]))

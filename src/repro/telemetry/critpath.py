@@ -10,8 +10,9 @@ straggler) dominates the makespan.
 Two sources, one schema (``repro-critpath/1``):
 
 ``source="replay"``
-    The honest one.  The fluid timing pass re-runs with
-    ``record_causal=True`` and emits per-op timed segments plus *wake
+    The honest one.  The fluid timing pass runs with
+    ``record_causal=True`` (once per result: an ``SpmdResult`` keeps the
+    pass it was timed with) and emits per-op timed segments plus *wake
     edges* — which rank's Release granted a blocked lock waiter, which
     arriving rank triggered a barrier.  The critical path is extracted by
     walking backwards from the makespan: a work segment is appended and the
@@ -174,7 +175,14 @@ def critical_path_replay(traces: list[RankTrace], resources=None,
                          machine=None) -> CriticalPath:
     """Extract the critical path by causal replay of ``traces``."""
     rs = resources or build_standard_resources(machine or DEFAULT_MACHINE)
-    result = FluidSimulator(rs).run(list(traces), record_causal=True)
+    traces = list(traces)
+    result = FluidSimulator(rs).run(traces, record_causal=True)
+    return _critical_path(result, traces)
+
+
+def _critical_path(result, traces: list[RankTrace]) -> CriticalPath:
+    """Walk the causal record of ``result`` (a replay of ``traces`` run
+    with ``record_causal=True``) backwards from the makespan."""
     causal = result.causal
     makespan = result.makespan_ns
     eps = 1e-9 * max(1.0, makespan)
@@ -191,14 +199,23 @@ def critical_path_replay(traces: list[RankTrace], resources=None,
         (r for r, f in result.finish_ns.items() if f >= makespan - eps),
         default=0,
     )
+    # Within a rank the walk steps by segment index — segments tile the
+    # rank's timeline, and a segment shorter than ``eps`` (a 4 ns read on a
+    # 5 s run) is then just one more step; looking it up by time would find
+    # it again forever.  Time is bisected only to land on a waker's rank.
+    segs = by_rank.get(rank, [])
+    i = len(segs) - 1
     t = makespan
     path: list[tuple] = []          # work segments, reverse time order
     waits: list[tuple] = []         # jumped wait segments
     fuel = 2 * len(causal.segments) + 16 * (len(by_rank) + 1)
-    while t > eps and fuel > 0:
+    while t > eps:
         fuel -= 1
-        segs = by_rank.get(rank, [])
-        i = bisect_right(ends.get(rank, []), t + eps) - 1
+        if fuel < 0:
+            raise RuntimeError(
+                f"critical-path walk did not terminate (rank {rank}, "
+                f"t={t!r} of {makespan!r} ns): causal record is inconsistent"
+            )
         if i < 0:
             path.append((rank, -1, "", UNTRACED, 0.0, t, None))
             break
@@ -210,14 +227,18 @@ def critical_path_replay(traces: list[RankTrace], resources=None,
             t = end
             continue
         if bucket in ("lock", "barrier") and waker is not None:
+            # the waker's Release/arrival happened at exactly ``end`` (same
+            # replay instant), so its last segment ending <= end is the work
+            # that gated the grant
             waits.append(seg)
             rank = waker
+            segs = by_rank.get(rank, [])
+            i = bisect_right(ends.get(rank, []), end) - 1
             continue
         hi = min(end, t)
         path.append((rank, _op, _phase, bucket, start, hi, None))
         t = start
-    if fuel <= 0 and t > eps:  # pragma: no cover - walk-safety backstop
-        path.append((rank, -1, "", UNTRACED, 0.0, t, None))
+        i -= 1
     path.reverse()
 
     # family attribution along the lb clock
@@ -279,8 +300,10 @@ def critical_path_replay(traces: list[RankTrace], resources=None,
 def critical_path_spmd(res) -> CriticalPath:
     """Critical path of a finished SPMD run (any engine — the procs engine
     ships whole RankTraces back through its pipes, so the causal replay in
-    the parent is identical to the threads case)."""
-    return critical_path_replay(res.traces, machine=res.machine)
+    the parent is identical to the threads case).  Reads the result's own
+    cached timing pass, so a run is replayed once however many consumers
+    ask."""
+    return _critical_path(res.time(record_causal=True), res.traces)
 
 
 # ---------------------------------------------------------------------------

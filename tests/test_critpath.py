@@ -5,11 +5,19 @@ folding, and the per-shard span-id spaces that keep merged
 flight-recorder dumps collision-free."""
 
 import numpy as np
+import pytest
 
 from repro.service import wire
 from repro.service.shard import ShardExecutor
 from repro.service.wire import Request
-from repro.sim.trace import Acquire, Barrier, Delay, RankTrace, Release
+from repro.sim.trace import (
+    Acquire,
+    Barrier,
+    Delay,
+    RankTrace,
+    Release,
+    Transfer,
+)
 from repro.telemetry.critpath import (
     UNTRACED,
     critical_path_replay,
@@ -121,6 +129,119 @@ def test_path_families_always_sum_to_total():
     doc = critpath_doc(cp)
     assert validate_critpath(doc) == []
     assert abs(sum(f["share"] for f in doc["families"].values()) - 1.0) < 1e-3
+
+
+def test_sub_eps_segments_on_a_long_run_are_walked_not_untraced():
+    # 4.9 s makespan -> the walk's eps is 4.9 ns, larger than every 4 ns
+    # segment below; looking segments up by time re-selected one forever
+    # and blamed [0, t] on a synthetic `untraced` step
+    tiny = [Delay(4.0, phase="meta"),
+            Transfer("pmem_read", 4.0, 1.0, phase="read")] * 40
+    bar = Barrier(0, (0, 1, 2))
+    traces = [
+        RankTrace(0, [Delay(2.5e9, phase="w"), Acquire("L"), *tiny,
+                      Release("L"), Delay(1.0e9, phase="w"), bar]),
+        RankTrace(1, [Delay(2.5e9 + 10.0, phase="w"), Acquire("L"), *tiny,
+                      Release("L"), Delay(2.4e9, phase="w"), bar]),
+        RankTrace(2, [Delay(2.5e9 + 20.0, phase="w"), Acquire("L"), *tiny,
+                      Release("L"), Delay(2.3e9, phase="w"), bar, *tiny]),
+    ]
+    cp = critical_path_replay(traces)
+    assert cp.total_ns == 2.5e9 + 2 * 320.0 + 2.4e9 + 320.0
+    assert all(s["bucket"] != UNTRACED for s in cp.steps)
+    # the steps tile [0, makespan]: rank 0's lock section, then rank 1's,
+    # rank 1's long tail into the barrier, rank 2's tiny ops after it
+    t = 0.0
+    for s in cp.steps:
+        assert s["start_ns"] == t
+        t = s["end_ns"]
+    assert t == cp.total_ns
+    assert [s["rank"] for s in cp.steps[:1] + cp.steps[-1:]] == [0, 2]
+    assert sum(s["ns"] for s in cp.steps) == cp.total_ns
+    # rank 1 waited 310 ns for rank 0's release; rank 2 reached the barrier
+    # 0.1 s (less its own later lock section) before rank 1 did
+    assert cp.handoffs == {
+        "wait.lock": {"count": 1, "wait_ns": 310.0},
+        "wait.barrier": {"count": 1, "wait_ns": 1e8 - 320.0},
+    }
+
+
+def test_walk_raises_on_an_inconsistent_causal_record():
+    # two waits that name each other as waker, both ending at the makespan:
+    # the walk can only bounce between them, and says so instead of blaming
+    # the run on `untraced`
+    from repro.sim.fluid import CausalRecord, FluidResult
+    from repro.telemetry.critpath import _critical_path
+
+    causal = CausalRecord(segments=[
+        (0, 0, "", "lock", 0.0, 10.0, 1),
+        (1, 0, "", "lock", 0.0, 10.0, 0),
+    ])
+    result = FluidResult(finish_ns={0: 10.0, 1: 10.0}, breakdown={},
+                         causal=causal)
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        _critical_path(result, [RankTrace(0), RankTrace(1)])
+
+
+# ---------------------------------------------------------------------------
+# one replay per SPMD result
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def replay_calls(monkeypatch):
+    """Every FluidSimulator.run call as (n_traces, record_causal)."""
+    from repro.sim.fluid import FluidSimulator
+
+    calls = []
+    run = FluidSimulator.run
+
+    def counted(self, traces, **kw):
+        calls.append((len(traces), kw.get("record_causal", False)))
+        return run(self, traces, **kw)
+
+    monkeypatch.setattr(FluidSimulator, "run", counted)
+    return calls
+
+
+def test_run_io_experiment_replays_each_result_once(replay_calls):
+    from repro.harness.experiment import run_io_experiment
+    from repro.workloads import Domain3D
+
+    w = Domain3D(nvars=1, model_dims=(40, 40, 40), axis_scale=5)
+    out = run_io_experiment("PMCPY-A", 2, w)
+    assert [r.direction for r in out] == ["write", "read"]
+    assert all(r.critpath["total_ns"] == round(r.seconds * 1e9, 3)
+               for r in out)
+    assert replay_calls == [(2, True), (2, True)]
+
+
+def test_record_from_spmd_replays_once_and_matches_a_fresh_replay(
+        replay_calls):
+    from repro.perf.scenarios import record_from_spmd
+    from repro.sim.engine import run_spmd
+    from repro.telemetry.critpath import critical_path_spmd
+
+    def fn(ctx):
+        with ctx.phase("p"):
+            ctx.delay(10.0 * (ctx.rank + 1))
+            ctx.lock_acquired("L")
+            ctx.transfer("pmem_write", 4096.0, 1.0)
+            ctx.lock_released("L")
+            ctx.barrier()
+
+    for nprocs in (1, 3):
+        res = run_spmd(nprocs, fn)
+        del replay_calls[:]
+        rec = record_from_spmd(res)
+        cp = critical_path_spmd(res)           # the doctor's second look
+        assert res.makespan_ns == rec["modeled_ns"]
+        assert replay_calls == [(nprocs, True)]
+        assert rec["critpath"] == critpath_summary(cp)
+        # byte-identical to replaying the traces afresh
+        fresh = critical_path_replay(res.traces, machine=res.machine)
+        assert critpath_dumps(critpath_doc(cp)) == \
+            critpath_dumps(critpath_doc(fresh))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.config import DEFAULT_MACHINE
 from repro.errors import RankFailedError
 from repro.sim import run_spmd
 from repro.sim.procengine import procs_available
+from repro.sim.resources import Resource, ResourceSet
 from repro.sim.trace import Barrier, Delay, Transfer
 
 
@@ -194,6 +195,37 @@ class TestTiming:
     def test_time_is_cached(self):
         res = run_spmd(1, lambda ctx: ctx.delay(10.0))
         assert res.time() is res.time()
+
+    def test_custom_resources_are_a_what_if_not_the_cached_timing(self):
+        res = run_spmd(2, lambda ctx: ctx.transfer("pmem_write", 1e6, 1.0))
+        slow = ResourceSet([Resource("pmem_write", lambda n: 0.5)])
+        what_if = res.time(slow)               # nothing cached yet
+        assert what_if.makespan_ns == pytest.approx(4e6)
+        standard = res.time()
+        assert standard.makespan_ns == pytest.approx(1e6)
+        assert res.time(slow).makespan_ns == what_if.makespan_ns
+        # the what-if never became "the" timing of the result
+        assert res.time() is standard
+        assert res.makespan_ns == standard.makespan_ns
+
+    @pytest.mark.parametrize("nprocs", [1, 3])
+    def test_causal_timing_supersedes_plain_and_is_cached(self, nprocs):
+        def fn(ctx):
+            ctx.delay(5.0 * (ctx.rank + 1))
+            ctx.lock_acquired("L")
+            ctx.transfer("pmem_write", 4096.0, 1.0)
+            ctx.lock_released("L")
+
+        res = run_spmd(nprocs, fn)
+        plain = res.time()
+        assert plain.causal is None
+        causal = res.time(record_causal=True)
+        assert causal.causal is not None and causal.causal.segments
+        assert causal.finish_ns == plain.finish_ns
+        assert causal.breakdown == plain.breakdown
+        # everyone after gets the causal result, plain callers included
+        assert res.time() is causal
+        assert res.time(record_causal=True) is causal
 
     def test_determinism_across_runs(self):
         def fn(ctx):

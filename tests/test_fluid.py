@@ -2,12 +2,19 @@
 
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_MACHINE
 from repro.sim.fluid import FluidSimulator, waterfill
 from repro.sim.resources import Resource, ResourceSet, build_standard_resources
-from repro.sim.trace import Barrier, Delay, RankTrace, Transfer
+from repro.sim.trace import (
+    Acquire,
+    Barrier,
+    Delay,
+    RankTrace,
+    Release,
+    Transfer,
+)
 
 
 def const_resources(**caps):
@@ -247,3 +254,167 @@ class TestAgainstAnalytic:
             # legitimately skipped
             n_ops = len(t.ops)
             assert res.finish_ns[t.rank] >= t.lower_bound_ns() * (1 - 1e-9) - 1e-6 * (n_ops + 1)
+
+
+# ---------------------------------------------------------------------------
+# closed-form single-rank replay == the general event loop
+# ---------------------------------------------------------------------------
+
+STANDARD = build_standard_resources(DEFAULT_MACHINE)
+_EPS = 1e-9
+
+
+def general_loop(sim, trace, record_causal):
+    """The event loop on a one-rank trace.  ``record_timeline=True`` is the
+    public way past the closed form; the timeline itself is not compared."""
+    return sim.run([trace], record_timeline=True, record_causal=record_causal)
+
+
+def assert_same_replay(trace, resources=STANDARD):
+    sim = FluidSimulator(resources)
+    for record_causal in (False, True):
+        fast = sim.run([trace], record_causal=record_causal)
+        ref = general_loop(sim, trace, record_causal)
+        assert fast.timeline == []
+        assert fast.finish_ns == ref.finish_ns
+        assert fast.makespan_ns == ref.makespan_ns
+        # keys, insertion order and values
+        assert list(fast.breakdown.items()) == list(ref.breakdown.items())
+        if not record_causal:
+            assert fast.causal is None and ref.causal is None
+            continue
+        assert fast.causal.segments == ref.causal.segments
+        assert list(fast.causal.locks.items()) == list(ref.causal.locks.items())
+
+
+@st.composite
+def single_rank_traces(draw):
+    rank = draw(st.sampled_from([0, 0, 3, 17]))
+    phases = st.sampled_from(["", "write", "read", "meta"])
+    delay_ns = st.one_of(
+        st.sampled_from([0.0, 5e-10, _EPS, 2e-9, 1.0, 137.25]),
+        st.floats(min_value=0.0, max_value=1e7),
+        # far larger than the running clock: expiry - now is inexact
+        st.floats(min_value=1e12, max_value=1e19),
+    )
+    amounts = st.one_of(
+        st.sampled_from([0.0, 5e-10, _EPS, 3e-9, 1.0, 4096.0]),
+        st.floats(min_value=0.0, max_value=1e10),
+    )
+    held: dict[str, bool] = {}                 # lock_id -> held shared
+    ops = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(
+            ["delay", "delay", "xfer", "xfer", "xfer", "acquire", "release",
+             "barrier"]
+        ))
+        if kind == "delay":
+            ops.append(Delay(draw(delay_ns), phase=draw(phases)))
+        elif kind == "xfer":
+            name = draw(st.sampled_from(STANDARD.names()))
+            capacity = STANDARD[name].capacity(1)
+            stream_cap = draw(st.one_of(
+                # below, at, within _EPS above, just past _EPS, far above
+                st.sampled_from([0.3 * capacity, capacity, capacity + 5e-10,
+                                 capacity + 2e-9, 7.0 * capacity]),
+                st.floats(min_value=1e-3, max_value=100.0),
+            ))
+            ops.append(Transfer(name, draw(amounts), stream_cap,
+                                phase=draw(phases)))
+        elif kind == "acquire":
+            lock_id = draw(st.sampled_from(["L", "M", "N"]))
+            shared = draw(st.booleans())
+            # re-entering is legal only shared-on-shared (and one Release
+            # then frees the lock); anything else is a self-deadlock,
+            # covered by the error cases below
+            if lock_id in held and not (held[lock_id] and shared):
+                continue
+            held[lock_id] = shared
+            ops.append(Acquire(lock_id, shared=shared, phase=draw(phases)))
+        elif kind == "release":
+            if held:  # else skip: a lock still held at trace end stays likely
+                lock_id = draw(st.sampled_from(sorted(held)))
+                del held[lock_id]
+                ops.append(Release(lock_id, phase=draw(phases)))
+        else:
+            ops.append(Barrier(draw(st.integers(0, 3)), (rank,),
+                               phase=draw(phases)))
+    return RankTrace(rank, ops)
+
+
+class UnknownOp:
+    phase = ""
+
+    def __repr__(self):
+        return "UnknownOp()"
+
+
+class TestSingleRankClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(single_rank_traces())
+    def test_equals_general_loop(self, trace):
+        assert_same_replay(trace)
+
+    def test_nested_shared_acquire_and_held_at_end(self):
+        # the second shared Acquire re-stamps the grant; one Release frees
+        # the lock; "r" is re-taken and still held when the trace ends
+        trace = RankTrace(2, [
+            Acquire("r", shared=True), Delay(10.0),
+            Acquire("r", shared=True), Delay(5.0), Release("r"),
+            Acquire("w"), Transfer("dram", 4096.0, 1.0), Release("w"),
+            Acquire("r", shared=True), Delay(7.0),
+        ])
+        assert_same_replay(trace)
+        causal = FluidSimulator(STANDARD).run([trace], record_causal=True).causal
+        assert causal.locks["r"]["acquires"] == 3
+        assert causal.locks["r"]["holds"] == 2
+        assert causal.locks["r"]["hold_ns"] == 5.0 + 7.0
+
+    def test_delay_dwarfing_the_clock(self):
+        trace = RankTrace(0, [Delay(0.1), Delay(1e17), Delay(3.0),
+                              Transfer("cpu", 1e6, 1.0)])
+        assert_same_replay(trace)
+
+    def test_cap_within_eps_of_capacity_keeps_the_cap(self):
+        rs = const_resources(dev=2.0)
+        for cap in (2.0, 2.0 + 5e-10, 2.0 + 2e-9, 1.5, 64.0):
+            assert_same_replay(RankTrace(0, [Transfer("dev", 1e6, cap)]), rs)
+        res = FluidSimulator(rs).run([RankTrace(0, [Transfer("dev", 1e6, 2.0 + 5e-10)])])
+        assert res.makespan_ns == 1e6 / (2.0 + 5e-10)
+
+    def test_subclassed_op_takes_the_general_loop(self):
+        class SlowDelay(Delay):
+            pass
+
+        trace = RankTrace(0, [SlowDelay(5.0, phase="p"), Delay(1.0)])
+        assert_same_replay(trace)
+        assert FluidSimulator(STANDARD).run([trace]).makespan_ns == 6.0
+
+    @pytest.mark.parametrize("ops, exc, match", [
+        ([Delay(1.0), Release("L")], ValueError, "does not hold"),
+        ([Acquire("L"), Release("L"), Release("L")], ValueError,
+         "does not hold"),
+        ([Delay(1.0), Barrier(0, (1, 2))], ValueError, "not participate"),
+        ([Delay(1.0), Barrier(0, (0, 1)), Delay(1.0)], RuntimeError,
+         "deadlock"),
+        ([Acquire("L"), Delay(1.0), Acquire("L")], RuntimeError, "deadlock"),
+        ([Acquire("L", shared=True), Acquire("L")], RuntimeError, "deadlock"),
+        ([Acquire("L"), Acquire("L", shared=True)], RuntimeError, "deadlock"),
+        ([Delay(1.0), Transfer("nope", 10.0, 1.0)], KeyError, "nope"),
+        ([Delay(1.0), UnknownOp()], TypeError, "unknown op"),
+        ([Delay(float("inf"))], RuntimeError, "no progress"),
+        ([Transfer("dram", float("nan"), 1.0)], RuntimeError, "no progress"),
+    ], ids=["release-unheld", "release-twice", "foreign-barrier",
+            "multi-party-barrier", "self-reacquire", "shared-then-exclusive",
+            "exclusive-then-shared", "unknown-resource", "unknown-op",
+            "infinite-delay", "nan-amount"])
+    @pytest.mark.parametrize("record_causal", [False, True])
+    def test_same_error_as_general_loop(self, ops, exc, match, record_causal):
+        sim = FluidSimulator(STANDARD)
+        trace = RankTrace(0, ops)
+        with pytest.raises(exc, match=match) as ref:
+            general_loop(sim, trace, record_causal)
+        with pytest.raises(exc) as fast:
+            sim.run([trace], record_causal=record_causal)
+        assert type(fast.value) is type(ref.value)
+        assert str(fast.value) == str(ref.value)
