@@ -58,14 +58,14 @@ def run_read_bytes():
             pmem.store("rect00", data, (0, 0, 0))
             got = pmem.load("rect00", selection=sel)
             assert np.array_equal(got, data[18:27, 18:27, 18:27])
-            tel = pmem.stats()["telemetry"]
+            metrics = pmem.stats()["metrics"]
             pmem.munmap()
-            return tel
+            return metrics
 
         cl = Cluster(pmem_capacity=128 * MiB)
-        tel = cl.run(1, job).returns[0]
-        stored = tel["pmemcpy_stored_write_bytes"]
-        read = tel["pmemcpy_stored_read_bytes"]
+        metrics = cl.run(1, job).returns[0]
+        stored = metrics["pmemcpy_stored_write_bytes"]["value"]
+        read = metrics["pmemcpy_stored_read_bytes"]["value"]
         rows.append((label, int(read), int(stored),
                      round(100.0 * read / stored, 2)))
     return rows

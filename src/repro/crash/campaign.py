@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cluster import Cluster
-from ..telemetry import Counters
+from ..telemetry import MetricRegistry
 from ..units import MiB
 from .journal import Journal, Replayer
 from .oracle import RecoveredWorld, default_oracles
@@ -64,17 +64,17 @@ class CampaignReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def counters(self) -> Counters:
-        """Campaign telemetry in the repro.telemetry counter format."""
-        c = Counters()
-        c.add("crash.states_explored", self.states_explored)
-        c.add("crash.journal_events", self.events)
-        c.add("crash.epochs", self.epochs)
-        c.add("crash.dirty_line_hwm", self.dirty_line_hwm)
-        c.add("crash.violations", len(self.failures))
+    def counters(self) -> MetricRegistry:
+        """Campaign telemetry as a registry of ``crash.*`` counters."""
+        reg = MetricRegistry()
+        reg.counter("crash.states_explored").add(self.states_explored)
+        reg.counter("crash.journal_events").add(self.events)
+        reg.counter("crash.epochs").add(self.epochs)
+        reg.counter("crash.dirty_line_hwm").add(self.dirty_line_hwm)
+        reg.counter("crash.violations").add(len(self.failures))
         for tier, n in sorted(self.states_by_tier.items()):
-            c.add(f"crash.states.p{tier}", n)
-        return c
+            reg.counter(f"crash.states.p{tier}").add(n)
+        return reg
 
     def render(self) -> str:
         head = (

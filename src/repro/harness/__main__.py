@@ -9,7 +9,7 @@ Usage::
     python -m repro.harness utilization     # per-library resource bottlenecks
     python -m repro.harness all
     options: --procs 8,16,24,32,48  --axis-scale 12  --out results/
-             --profile   # print per-job I/O telemetry counter tables
+             --profile   # print per-job I/O metric tables
              --trace-out DIR    # one Chrome/Perfetto trace JSON per job
              --metrics-out FILE # per-job typed metric registries (JSON)
              --critpath-out DIR # one repro-critpath/1 JSON per job
@@ -51,13 +51,10 @@ def cmd_figures(args, directions) -> None:
         proc_counts=procs, workload=workload, directions=directions
     )
     if args.profile:
-        from ..telemetry import Counters
+        from ..telemetry import MetricRegistry
 
         for r in results:
-            c = Counters()
-            for k, v in r.telemetry.items():
-                c.add(k, v)
-            print(c.render(
+            print(MetricRegistry.from_dict(r.metrics).render(
                 f"{r.library} {r.direction} @{r.nprocs} procs — I/O telemetry"
             ))
             print()
@@ -189,7 +186,7 @@ def main(argv=None) -> int:
                     help="shrink factor per axis for the functional pass")
     ap.add_argument("--out", default="results")
     ap.add_argument("--profile", action="store_true",
-                    help="print merged telemetry counters for each job")
+                    help="print the merged metric registry of each job")
     ap.add_argument("--trace-out", default=None, metavar="DIR",
                     help="write one Chrome/Perfetto trace JSON per job")
     ap.add_argument("--metrics-out", default=None, metavar="FILE",

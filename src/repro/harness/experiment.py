@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from ..cluster import Cluster
 from ..config import DEFAULT_MACHINE, MachineSpec
 from ..sim.stats import summarize
-from ..telemetry import merged_counters, merged_metrics, spans_of
+from ..telemetry import merged_metrics, spans_of
 from ..telemetry.export import spans_to_dicts
 from ..units import MiB
 from ..workloads import Domain3D, read_job, write_job
@@ -36,7 +36,6 @@ class JobResult:
     direction: str           # "write" | "read"
     seconds: float
     phases: dict[str, float] = field(default_factory=dict)  # seconds
-    telemetry: dict[str, float] = field(default_factory=dict)  # merged counters
     metrics: dict = field(default_factory=dict)   # MetricRegistry.as_dict()
     spans: list = field(default_factory=list)     # span dicts (trace export)
     engine: str = "threads"  # rank engine that executed the run
@@ -81,9 +80,8 @@ def _cluster_for(workload: Domain3D, machine: MachineSpec) -> Cluster:
 
 def _job_result(library: str, nprocs: int, direction: str, res, cl) -> JobResult:
     """Fold one SPMD run into a JobResult: makespan + phase seconds, the
-    merged flat counters (plus the legacy-format expansion of the typed
-    metric families, so ``--profile`` keeps its historical key set), the
-    cross-rank :class:`MetricRegistry`, and the span dicts for trace
+    cross-rank :class:`MetricRegistry` (with the device's persistence
+    counters as ``device_*`` gauges), and the span dicts for trace
     export."""
     from ..telemetry.critpath import (
         critical_path_spmd,
@@ -95,13 +93,11 @@ def _job_result(library: str, nprocs: int, direction: str, res, cl) -> JobResult
     # the causal record first, so critical_path_spmd below reuses this replay
     timing = res.time(record_causal=True)
     reg = merged_metrics(res.traces)
-    tel = merged_counters(res.traces).as_dict()
-    tel.update(reg.legacy_counters())
-    tel.update(cl.device.persistence_counters())
+    for name, value in cl.device.persistence_counters().items():
+        reg.gauge(name).set(value)
     return JobResult(
         library, nprocs, direction, timing.makespan_ns / 1e9,
         {k: v / 1e9 for k, v in timing.phase_totals().items()},
-        tel,
         reg.as_dict(),
         spans_to_dicts(spans_of(res.traces)),
         engine=res.engine,

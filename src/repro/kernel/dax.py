@@ -777,9 +777,8 @@ class DaxMapping:
         for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
             self.fs.device.persist(dev_off, length)
         ctx.delay(200.0, note="persist")
-        from ..telemetry import metrics_for, record
+        from ..telemetry import metrics_for
 
-        record(ctx, "persist_calls")
         metrics_for(ctx).histogram("access.persist.bytes").observe(float(size))
 
     def unmap(self, ctx) -> None:

@@ -63,7 +63,7 @@ class PMEMDevice:
         """Re-home the device's byte space into a shared-memory heap so
         forked rank workers all map the *same* pool pages.
 
-        Existing contents are preserved.  Counters stay process-local —
+        Existing contents are preserved.  Device counters stay process-local —
         workers ship their deltas back with their run results and the
         parent folds them in via :meth:`merge_counters` (no locked shared
         counter on the store hot path, so parallel memcpy stays parallel).

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sim.trace import Delay, Transfer
-from ..telemetry import counters_for, metrics_for, record
+from ..telemetry import metrics_for, record
 from .device import PMEMDevice
 
 #: fixed software cost of initiating one copy (pointer math, loop setup)
@@ -35,8 +35,6 @@ def charge_pmem_write(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.pmem
     ctx.delay(spec.write_latency_ns + _COPY_SETUP_NS, note=note)
     ctx.transfer("pmem_write", model_bytes, spec.stream_write_bw, note=note)
-    record(ctx, "pmem_write_ops")
-    record(ctx, "pmem_write_bytes", model_bytes)
     _observe_access(ctx, "pmem_write", model_bytes)
 
 
@@ -44,8 +42,6 @@ def charge_pmem_read(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.pmem
     ctx.delay(spec.read_latency_ns + _COPY_SETUP_NS, note=note)
     ctx.transfer("pmem_read", model_bytes, spec.stream_read_bw, note=note)
-    record(ctx, "pmem_read_ops")
-    record(ctx, "pmem_read_bytes", model_bytes)
     _observe_access(ctx, "pmem_read", model_bytes)
 
 
@@ -53,8 +49,8 @@ def charge_pmem_read_rows(
     ctx, model_bytes: list[float], note: str = "", lead=()
 ) -> tuple[list[float], list[float]]:
     """:func:`charge_pmem_read` once per entry of ``model_bytes`` (each
-    > 0), in order, recorded in one pass — the same ops, counters and
-    access-size samples as the one-by-one calls.  Only the host work is
+    > 0), in order, recorded in one pass — the same ops and access-size
+    samples as the one-by-one calls.  Only the host work is
     batched: a row's ``Delay``/``Transfer`` pair stays its own two ops
     (alternating ops under contention are not equivalent to their totals).
 
@@ -92,9 +88,6 @@ def charge_pmem_read_rows(
         ops.append(op)
         end_at.append(len(ops))
     clock = ctx.append_ops(ops)
-    tel = counters_for(ctx)
-    tel.add("pmem_read_ops", float(len(model_bytes)))
-    tel.add_each("pmem_read_bytes", model_bytes)
     metrics_for(ctx).histogram("access.pmem_read.bytes").observe_many(
         model_bytes)
     return [clock[k] for k in start_at], [clock[k] for k in end_at]
@@ -105,8 +98,6 @@ def charge_dram_copy(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.dram
     ctx.delay(spec.write_latency_ns + _COPY_SETUP_NS, note=note)
     ctx.transfer("dram", model_bytes, spec.stream_write_bw, note=note)
-    record(ctx, "dram_copy_ops")
-    record(ctx, "dram_copy_bytes", model_bytes)
     _observe_access(ctx, "dram", model_bytes)
 
 
@@ -137,7 +128,6 @@ def charge_pfs_write(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.pfs
     ctx.delay(spec.write_latency_ns, note=note)
     ctx.transfer("pfs_write", model_bytes, spec.stream_write_bw, note=note)
-    record(ctx, "pfs_write_bytes", model_bytes)
     _observe_access(ctx, "pfs_write", model_bytes)
 
 
@@ -145,7 +135,6 @@ def charge_pfs_read(ctx, model_bytes: float, note: str = "") -> None:
     spec = ctx.machine.pfs
     ctx.delay(spec.read_latency_ns, note=note)
     ctx.transfer("pfs_read", model_bytes, spec.stream_read_bw, note=note)
-    record(ctx, "pfs_read_bytes", model_bytes)
     _observe_access(ctx, "pfs_read", model_bytes)
 
 

@@ -38,7 +38,7 @@ import os
 import sys
 
 from ..telemetry.bench import bench_doc, load_bench, write_bench
-from ..telemetry.counters import _fmt_quantity
+from ..telemetry.metrics import _fmt_quantity
 from .baseline import (
     DEFAULT_BASELINE_PATH,
     baseline_from_runs,

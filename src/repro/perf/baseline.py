@@ -24,12 +24,6 @@ from ..telemetry.bench import bench_env
 from .measure import Measurement
 
 BASELINE_SCHEMA = "repro-perf-baseline/3"
-#: schema /1 predates the rank-engine column; /2 predates the per-scenario
-#: critical-path summary.  Loaded baselines are shimmed in memory: /1
-#: gains ``engine: "threads"``, and both simply lack ``critpath`` entries
-#: (the compare gate skips the critical-path diff for those scenarios).
-_BASELINE_SCHEMA_V1 = "repro-perf-baseline/1"
-_BASELINE_SCHEMA_V2 = "repro-perf-baseline/2"
 DEFAULT_BASELINE_PATH = os.path.join("results", "perf_baseline.json")
 
 
@@ -79,10 +73,6 @@ def load_baseline(path: str) -> dict:
         )
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") == _BASELINE_SCHEMA_V1:
-        doc = migrate_v1(doc)
-    if doc.get("schema") == _BASELINE_SCHEMA_V2:
-        doc = migrate_v2(doc)
     if doc.get("schema") != BASELINE_SCHEMA:
         raise ValueError(
             f"{path}: schema {doc.get('schema')!r} is not {BASELINE_SCHEMA!r}"
@@ -91,28 +81,3 @@ def load_baseline(path: str) -> dict:
         raise ValueError(f"{path}: baseline has no scenarios")
     return doc
 
-
-def migrate_v1(doc: dict) -> dict:
-    """Shim a schema /1 baseline up to current: stamp the engine column.
-
-    Every /1 baseline was measured before the procs engine existed, so
-    each scenario entry gains ``engine: "threads"`` (and, like /2, simply
-    has no critpath entries)."""
-    out = dict(doc)
-    out["schema"] = BASELINE_SCHEMA
-    out["scenarios"] = {
-        name: {**entry, "engine": entry.get("engine", "threads")}
-        for name, entry in doc.get("scenarios", {}).items()
-    }
-    return out
-
-
-def migrate_v2(doc: dict) -> dict:
-    """Shim a schema /2 baseline up to /3.
-
-    /3 only *adds* the optional per-scenario ``critpath`` summary, so the
-    migration is a schema restamp; scenarios without critpath entries are
-    legal (the compare gate skips the critical-path diff for them)."""
-    out = dict(doc)
-    out["schema"] = BASELINE_SCHEMA
-    return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..telemetry.bench import env_fingerprint
-from ..telemetry.counters import _fmt_quantity
+from ..telemetry.metrics import _fmt_quantity
 from .measure import Measurement
 
 MODELED_GATE_FRAC = 0.01

@@ -16,7 +16,7 @@ from __future__ import annotations
 import glob as _glob
 
 from ..telemetry.bench import load_bench
-from ..telemetry.counters import _fmt_quantity
+from ..telemetry.metrics import _fmt_quantity
 from .measure import Measurement
 
 SPARK = "▁▂▃▄▅▆▇█"

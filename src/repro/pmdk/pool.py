@@ -91,9 +91,8 @@ class RawRegion:
         self._check(off, size)
         self.device.persist(self.base + off, size)
         ctx.delay(200.0, note="persist")
-        from ..telemetry import metrics_for, record
+        from ..telemetry import metrics_for
 
-        record(ctx, "persist_calls")
         metrics_for(ctx).histogram("access.persist.bytes").observe(float(size))
 
     def view(self, off: int, size: int) -> np.ndarray:
@@ -121,7 +120,6 @@ class PmemPool:
         self._lane_free: set[int] = set()
         self._lane_cond = threading.Condition()
         self._lane_cell = None  # shared mode: cross-process lane bitmap
-        self._mutex_registry: list = []
         #: volatile-lock-core provider for every lock living in this pool —
         #: in-process cores by default; attach_shared swaps in shm cores
         self.locks = LocalLockProvider()
@@ -368,12 +366,6 @@ class PmemPool:
                 self.write(ctx, off, data)
                 self.persist(ctx, off, len(data))
             self.write_u64(ctx, base, 0)
-
-    # ------------------------------------------------------------------ robust locks
-
-    def register_mutex(self, mutex) -> None:
-        with self.lock:
-            self._mutex_registry.append(mutex)
 
     # ------------------------------------------------------------------ allocation façade
 

@@ -7,13 +7,13 @@ inspects which concrete layout it is driving.  Filtered and unfiltered
 stores share one code path that differs only by an optional DRAM staging
 stage (the deliberate copy a compressor needs).
 
-Telemetry: each operation updates the rank's counter registry
+Telemetry: each operation updates the rank's metric registry
 (``repro.telemetry``) — op counts, logical vs stored bytes, staging passes,
-meta-lock hold time and contention — and its typed metric families
-(stripe-occupancy and op-latency histograms), surfaced via
-:meth:`PMEM.stats` and the harness's ``--profile`` flag.  Every store/load
-additionally opens a structured span tree (``pmemcpy.store`` →
-``store.reserve``/``meta-lock``/``store.alloc``/``store.serialize``/
+meta-lock contention, and the stripe-occupancy, meta-lock hold and
+op-latency histograms — surfaced via :meth:`PMEM.stats` and the harness's
+``--profile`` flag.  Every store/load additionally opens a structured span
+tree (``pmemcpy.store`` → ``store.reserve``/``meta-lock``/``store.alloc``/
+``store.serialize``/
 ``memcpy``/``store.persist``/``store.publish``) timed in modeled ns, so a
 single operation can be replayed in Perfetto; see DESIGN.md §9.
 
@@ -50,7 +50,7 @@ from ..errors import (
 )
 from ..serial import DramSink, DramSource, get_serializer
 from ..serial.filters import FilterPipeline
-from ..telemetry import LANE_BOUNDS, counters_for, metrics_for, record, span
+from ..telemetry import LANE_BOUNDS, metrics_for, record, span
 from ..telemetry.export import registry_percentiles
 from .cache import DEFAULT_CHUNK_CACHE_BYTES, ChunkCache
 from .dataset import Chunk, VariableMeta, split_at_chunk_grid
@@ -191,12 +191,10 @@ class PMEM:
         time shows up as a named child of whichever store/load phase took
         the guard.  Stripe occupancy feeds the fixed-lane
         ``meta.stripe.acquires`` histogram (O(64) to aggregate across any
-        number of runs; :meth:`MetricRegistry.legacy_counters` expands it
-        back to the per-stripe keys for ``--profile``)."""
+        number of runs; ``nonzero_buckets()`` lists the lanes hit)."""
         with span(ctx, "meta-lock"):
             with guard as g:
                 t0 = ctx.lb_ns
-                record(ctx, "meta_lock_acquires")
                 record(ctx, "meta.lock.acquires")
                 if g.contended:
                     record(ctx, "meta.lock.contended")
@@ -208,7 +206,6 @@ class PMEM:
                     yield g
                 finally:
                     held = ctx.lb_ns - t0
-                    record(ctx, "meta_lock_ns", held)
                     metrics_for(ctx).histogram("meta.lock.ns").observe(held)
 
     def _meta_read(self, ctx, var_id: str):
@@ -663,8 +660,8 @@ class PMEM:
     def stats(self) -> dict:
         """Store introspection (a ``du``-like view): per-variable chunk
         counts and bytes, backend occupancy via the layout's
-        ``occupancy()`` hook, this rank's telemetry counters, and its typed
-        metric families.
+        ``occupancy()`` hook, and this rank's typed metric families
+        (counters, gauges and histograms).
 
         The result is a **deep copy**: mutating it can never corrupt the
         layout's metadata or the rank's live telemetry state."""
@@ -692,7 +689,6 @@ class PMEM:
             }
         out = {"variables": variables, "layout": self.layout.name}
         out.update(self.layout.occupancy(ctx))
-        out["telemetry"] = counters_for(ctx).as_dict()
         out["metrics"] = metrics_for(ctx).as_dict()
         # p50/p95/p99 for every populated histogram, through the same
         # registry_percentiles code path the service SLO report and the

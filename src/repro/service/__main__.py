@@ -174,10 +174,7 @@ def cmd_smoke(ns) -> int:
             "counters": stats["counters"],
             "flight": stats["flight"],
             "observability_errors": obs_errors,
-            "shards": [
-                {k: v for k, v in s.items() if k != "telemetry"}
-                for s in stats["shards"]
-            ],
+            "shards": stats["shards"],
         }
         out = Path(ns.report)
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -55,7 +55,7 @@ from ..errors import (
     ServiceOverloadedError,
 )
 from ..sim.trace import RankTrace
-from ..telemetry import MetricRegistry, metrics_for, span
+from ..telemetry import MetricRegistry, metrics_for, record, span
 from ..telemetry.export import registry_percentiles
 from ..telemetry.flight import FlightRecord, FlightRecorder
 from ..telemetry.prometheus import prometheus_text
@@ -86,7 +86,7 @@ class ServiceContext:
 
     Quacks like the corner of :class:`repro.sim.engine.Context` the
     telemetry layer uses — ``lb_ns`` plus a :class:`RankTrace` to hang
-    spans, counters, and metric families on — without being an SPMD rank.
+    spans and metric families on — without being an SPMD rank.
     """
 
     __slots__ = ("trace", "lb_ns")
@@ -180,7 +180,7 @@ class ServiceCore:
     # ------------------------------------------------------------------ clock
 
     def _count(self, name: str, amount: float = 1.0) -> None:
-        metrics_for(self.ctx).counter(name).add(amount)
+        record(self.ctx, name, amount)
 
     def _mint_trace(self) -> int:
         """Server-minted trace id for peers that sent none (v1 clients).

@@ -36,14 +36,11 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..cluster import Cluster
 from ..errors import ReproError, ShardUnavailableError
 from ..pmdk.locks import fnv1a64
 from ..pmemcpy import PMEM
-from ..telemetry import MetricRegistry, merged_counters, merged_metrics, span
-from ..telemetry.counters import Counters
+from ..telemetry import MetricRegistry, merged_metrics, span
 from ..units import MiB
 from .wire import OP_DELETE, OP_LOAD, OP_STORE, Request
 
@@ -134,7 +131,6 @@ class ShardExecutor:
         self.path = path or f"/pmem/svc_shard{shard}"
         self.available = True
         #: engine telemetry accumulated across every batch this shard ran
-        self.counters = Counters()
         self.metrics = MetricRegistry()
         self.batches = 0
         self.requests = 0
@@ -213,7 +209,6 @@ class ShardExecutor:
         for i, winner in superseded.items():
             out = outcomes[winner]
             outcomes[i] = out if isinstance(out, ReproError) else None
-        self.counters.merge(merged_counters(res.traces))
         self.metrics.merge(merged_metrics(res.traces))
         self.batches += 1
         self.requests += len(batch)
@@ -276,5 +271,4 @@ class ShardExecutor:
             "available": self.available,
             "batches": self.batches,
             "requests": self.requests,
-            "telemetry": self.counters.as_dict(),
         }

@@ -155,11 +155,6 @@ class FluidResult:
     finish_ns: dict[int, float]
     #: (rank, phase, resource-or-"delay"/"barrier") -> ns spent
     breakdown: dict[tuple[int, str, str], float]
-    #: optional Gantt rows (rank, phase, bucket, start_ns, end_ns); filled
-    #: when the replay ran with record_timeline=True
-    timeline: list[tuple[int, str, str, float, float]] = field(
-        default_factory=list
-    )
     makespan_ns: float = 0.0
     #: filled when the replay ran with record_causal=True
     causal: CausalRecord | None = None
@@ -189,14 +184,13 @@ class FluidSimulator:
         self,
         traces: list[RankTrace],
         *,
-        record_timeline: bool = False,
         record_causal: bool = False,
     ) -> FluidResult:
-        if len(traces) == 1 and not record_timeline:
+        if len(traces) == 1:
             result = self._run_single(traces[0], record_causal)
             if result is not None:
                 return result
-        return self._run_events(traces, record_timeline, record_causal)
+        return self._run_events(traces, record_causal)
 
     def _run_single(
         self, trace: RankTrace, record_causal: bool
@@ -304,7 +298,6 @@ class FluidSimulator:
     def _run_events(
         self,
         traces: list[RankTrace],
-        record_timeline: bool,
         record_causal: bool,
     ) -> FluidResult:
         """The general event loop: any number of ranks."""
@@ -328,25 +321,16 @@ class FluidSimulator:
         breakdown: dict[tuple[int, str, str], float] = {}
         # what each busy rank is accounted against: (phase, bucket)
         accounting: dict[int, tuple[str, str]] = {}
-        timeline: list[tuple[int, str, str, float, float]] = []
-        busy_since: dict[int, float] = {}
         causal = CausalRecord() if record_causal else None
         causal_since: dict[int, tuple[float, int]] = {}
         lock_wait_since: dict[int, float] = {}
         lock_grant_at: dict[tuple[str, int], float] = {}
 
         def begin(rank: int) -> None:
-            if record_timeline:
-                busy_since[rank] = now
             if record_causal:
                 causal_since[rank] = (now, pos[rank])
 
         def finish_interval(rank: int, waker: int | None = None) -> None:
-            if record_timeline:
-                start = busy_since.pop(rank, None)
-                if start is not None and now - start > _EPS:
-                    phase, bucket = accounting.get(rank, ("", "idle"))
-                    timeline.append((rank, phase, bucket, start, now))
             if record_causal:
                 entry = causal_since.pop(rank, None)
                 if entry is not None and now - entry[0] > _EPS:
@@ -542,6 +526,5 @@ class FluidSimulator:
                 ls["hold_ns"] += now - t0
             causal.segments.sort(key=lambda s: (s[0], s[4], s[1]))
         return FluidResult(
-            finish_ns=finish, breakdown=breakdown, timeline=timeline,
-            causal=causal,
+            finish_ns=finish, breakdown=breakdown, causal=causal
         )

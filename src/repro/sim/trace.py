@@ -89,13 +89,10 @@ class RankTrace:
 
     rank: int
     ops: list[TraceOp] = field(default_factory=list)
-    #: the rank's telemetry counter bag (a ``repro.telemetry.Counters``),
-    #: created lazily on first ``record()`` — kept here so counters survive
-    #: the SPMD run alongside the ops they describe
-    telemetry: object | None = field(default=None, compare=False, repr=False)
     #: the rank's typed metric families (a ``repro.telemetry.MetricRegistry``),
-    #: created lazily on first ``metrics_for()`` — fixed-bucket histograms,
-    #: counters and gauges with cross-rank merge semantics
+    #: created lazily on first ``metrics_for()`` or ``record()`` — kept here
+    #: so counters, gauges and fixed-bucket histograms survive the SPMD run
+    #: alongside the ops they describe
     metrics: object | None = field(default=None, compare=False, repr=False)
     #: completed structured spans (``repro.telemetry.Span``), appended by
     #: the rank's tracer as instrumented operations close

@@ -1,27 +1,26 @@
 """Always-on, per-rank I/O observability (Darshan-style monitoring).
 
-Three layers, cheapest to richest:
+Two layers, one for counting and one for timing:
 
-1. **Flat counters** (:mod:`.counters`, PR 1) — an add-only float bag per
-   rank; :func:`record` is a single dict add.  Kept for compatibility and
-   for truly unstructured tallies.
-2. **Typed metric families** (:mod:`.metrics`) — mpmetrics-style
-   ``Counter``/``Gauge``/``Histogram`` with fixed log2 latency buckets and
-   well-defined cross-rank aggregation (:func:`merged_metrics`).
-3. **Structured spans** (:mod:`.spans`) — causal, timed trees over every
+1. **Typed metric families** (:mod:`.metrics`) — mpmetrics-style
+   ``Counter``/``Gauge``/``Histogram`` with fixed log2 buckets and
+   well-defined cross-rank aggregation (:func:`merged_metrics`).  Every
+   count a rank keeps lives here: :func:`record` bumps a named ``Counter``,
+   and an access-size or latency histogram's count/sum are its op and
+   byte/ns totals, so nothing is counted twice.
+2. **Structured spans** (:mod:`.spans`) — causal, timed trees over every
    store/load, exported as Chrome/Perfetto trace JSON or a Darshan-style
    record table (:mod:`.export`), bounded by the ``REPRO_TRACE`` knob.
 
-All three live on the rank's :class:`~repro.sim.trace.RankTrace` so they
+Both live on the rank's :class:`~repro.sim.trace.RankTrace` so they
 survive the SPMD run: aggregate a finished run with
-:func:`merged_counters` / :func:`merged_metrics` / :func:`spans_of` over
-``result.traces``, or read one store's view via ``PMEM.stats()``.
+:func:`merged_metrics` / :func:`spans_of` over ``result.traces``, or read
+one store's view via ``PMEM.stats()["metrics"]``.
 ``python -m repro.telemetry`` renders the profile report.
 """
 
 from __future__ import annotations
 
-from .counters import Counters
 from .metrics import (
     LANE_BOUNDS,
     LOG2_BOUNDS,
@@ -81,8 +80,7 @@ from .spans import (
 )
 
 __all__ = [
-    "Counters", "counters_for", "record", "merged_counters",
-    "Counter", "Gauge", "Histogram", "MetricRegistry",
+    "record", "Counter", "Gauge", "Histogram", "MetricRegistry",
     "LOG2_BOUNDS", "LANE_BOUNDS", "metrics_for", "merged_metrics",
     "Span", "Tracer", "span", "tracer_for", "spans_of",
     "as_span_list", "exclusive_ns_by_family", "family_of",
@@ -99,27 +97,9 @@ __all__ = [
 ]
 
 
-def counters_for(ctx) -> Counters:
-    """The calling rank's counter bag (created on first use)."""
-    trace = ctx.trace
-    tel = trace.telemetry
-    if tel is None:
-        tel = trace.telemetry = Counters()
-    return tel
-
-
 def record(ctx, name: str, amount: float = 1.0) -> None:
     """Add ``amount`` to the rank's ``name`` counter."""
-    trace = ctx.trace
-    tel = trace.telemetry
-    if tel is None:
-        tel = trace.telemetry = Counters()
-    tel.add(name, amount)
-
-
-def merged_counters(traces) -> Counters:
-    """Sum the per-rank counter bags of a finished run's traces."""
-    return Counters.merged(getattr(t, "telemetry", None) for t in traces)
+    metrics_for(ctx).counter(name).add(amount)
 
 
 def metrics_for(ctx) -> MetricRegistry:

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 
-from .counters import _fmt_quantity
-from .metrics import Histogram, MetricRegistry
+from .metrics import Histogram, MetricRegistry, _fmt_quantity
 from .spans import Span, as_span_list, child_ns_index, family_of
 
 #: span names that carry a ``var`` attribute and count as I/O operations

@@ -1,17 +1,19 @@
 """mpmetrics-style typed metric families: Counter, Gauge, Histogram.
 
-Where :mod:`repro.telemetry.counters` is a flat bag of add-only floats,
-this module provides *typed* families with well-defined cross-rank and
-cross-run aggregation semantics, attached per rank to its
-:class:`~repro.sim.trace.RankTrace` (like the legacy counter bag) and
-merged after an SPMD run with :func:`MetricRegistry.merged`.
+Every rank counts in exactly one :class:`MetricRegistry`, attached to its
+:class:`~repro.sim.trace.RankTrace` and merged after an SPMD run with
+:func:`MetricRegistry.merged`; each family has well-defined cross-rank and
+cross-run aggregation semantics.
 
 Naming rules (DESIGN.md §9):
 
 =====================  ====================================================
 ``<layer>.<op>``        Counter — event count (``pmdk.lock.acquires``)
+``*_ops`` / ``*_bytes``  Counter — tallies bumped by ``record()``
+                        (``driver_write_ops``, ``pmemcpy_stored_read_bytes``)
 ``<layer>.<op>.ns``     Histogram — latency in modeled ns, log2 buckets
-``<layer>.<op>.bytes``  Histogram — access sizes in bytes, log2 buckets
+``<layer>.<op>.bytes``  Histogram — access sizes in bytes, log2 buckets;
+                        its count/sum are the op and byte totals
 ``meta.stripe.acquires``  Histogram — stripe-lane occupancy, lane buckets
 ``*.inflight`` etc.     Gauge — last-written level (merge takes the max)
 =====================  ====================================================
@@ -31,8 +33,6 @@ import functools
 import operator
 from bisect import bisect_left
 from typing import Iterable
-
-from .counters import _fmt_value
 
 #: number of log2 buckets: values up to 2**63 land exactly, bigger overflow
 _NLOG2 = 64
@@ -320,36 +320,11 @@ class MetricRegistry:
                 raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
         return out
 
-    # ------------------------------------------------------------------ legacy shim
-
-    def legacy_counters(self) -> dict[str, float]:
-        """Flat-counter view for ``harness --profile`` consumers.
-
-        Counters/gauges render as plain values; the stripe-occupancy
-        histogram is expanded back into the legacy per-stripe
-        ``meta.stripe.<i>.acquires`` keys (exact for lane-bucketed
-        histograms); other histograms contribute ``<name>.count`` and
-        ``<name>.sum`` keys.
-        """
-        out: dict[str, float] = {}
-        for name, m in self._m.items():
-            if isinstance(m, (Counter, Gauge)):
-                out[name] = m.value
-            elif m.bounds == LANE_BOUNDS:
-                stem = name.rsplit(".", 1)
-                prefix, op = (stem[0], stem[1]) if len(stem) == 2 \
-                    else (name, "count")
-                for edge, n in m.nonzero_buckets():
-                    lane = "64+" if edge == float("inf") else str(int(edge))
-                    out[f"{prefix}.{lane}.{op}"] = float(n)
-            else:
-                out[f"{name}.count"] = float(m.count)
-                out[f"{name}.sum"] = m.sum
-        return out
-
     # ------------------------------------------------------------------ render
 
     def render(self, title: str = "metric families") -> str:
+        """Fixed-width table, one family per line (the ``--profile``
+        view)."""
         lines = [f"== {title} =="]
         if not self._m:
             lines.append("  (no metrics recorded)")
@@ -370,3 +345,32 @@ class MetricRegistry:
                     f"  {name:<{width}}  {_fmt_value(name, m.value)}"
                 )
         return "\n".join(lines)
+
+
+def _fmt_value(name: str, v: float) -> str:
+    """Render ``v`` in the unit the metric's name ends in."""
+    if name.endswith(("_ns", ".ns")):
+        return _fmt_quantity(v, "ns")
+    if name.endswith(("_bytes", ".bytes")):
+        return _fmt_quantity(v, "B")
+    if v == int(v):
+        return f"{int(v):,}"
+    return f"{v:,.2f}"
+
+
+def _fmt_quantity(v: float, unit: str) -> str:
+    """``12,345,678 B (11.8 MiB)``-style rendering."""
+    base = f"{v:,.0f} {unit}" if v == int(v) else f"{v:,.2f} {unit}"
+    if unit == "B" and v >= 1024:
+        scaled, suffix = float(v), ""
+        for s in ("KiB", "MiB", "GiB", "TiB"):
+            if scaled < 1024:
+                break
+            scaled /= 1024
+            suffix = s
+        return f"{base} ({scaled:.1f} {suffix})"
+    if unit == "ns" and v >= 1e3:
+        for factor, s in ((1e9, "s"), (1e6, "ms"), (1e3, "us")):
+            if v >= factor:
+                return f"{base} ({v / factor:.2f} {s})"
+    return base

@@ -123,7 +123,7 @@ def test_write_selection_rejects_bad_shapes(driver_name, kw):
 def test_staged_default_accounts_staging_bytes():
     """posix has no sub-block addressing: the default read_selection stages
     the bounding box and records the staged-vs-delivered gap."""
-    from repro.telemetry import merged_counters
+    from repro.telemetry import merged_metrics
 
     def job(ctx):
         comm = Communicator.world(ctx)
@@ -142,8 +142,9 @@ def test_staged_default_accounts_staging_bytes():
     cl = Cluster(pmem_capacity=128 * MiB)
     res = cl.run(1, job)
     delivered = res.returns[0]
-    tel = merged_counters(res.traces).as_dict()
+    staged = merged_metrics(res.traces).get(
+        "driver_selection_staged_bytes").value
     sel = SELECTIONS["strided"]
     _off, dims = sel.bbox()
-    assert tel["driver_selection_staged_bytes"] == int(np.prod(dims)) * 8
-    assert tel["driver_selection_staged_bytes"] > delivered
+    assert staged == int(np.prod(dims)) * 8
+    assert staged > delivered

@@ -265,9 +265,8 @@ _EPS = 1e-9
 
 
 def general_loop(sim, trace, record_causal):
-    """The event loop on a one-rank trace.  ``record_timeline=True`` is the
-    public way past the closed form; the timeline itself is not compared."""
-    return sim.run([trace], record_timeline=True, record_causal=record_causal)
+    """The event loop on a one-rank trace, past the closed form."""
+    return sim._run_events([trace], record_causal)
 
 
 def assert_same_replay(trace, resources=STANDARD):
@@ -275,7 +274,6 @@ def assert_same_replay(trace, resources=STANDARD):
     for record_causal in (False, True):
         fast = sim.run([trace], record_causal=record_causal)
         ref = general_loop(sim, trace, record_causal)
-        assert fast.timeline == []
         assert fast.finish_ns == ref.finish_ns
         assert fast.makespan_ns == ref.makespan_ns
         # keys, insertion order and values

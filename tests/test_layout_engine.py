@@ -58,7 +58,8 @@ def test_store_load_roundtrip_matrix(layout, serializer, filters):
     if filters:
         # transformed chunks record their *stored* size, not the logical one
         assert v["stored_bytes"] != 0
-    tel = st["telemetry"]
+    tel = {k: m["value"] for k, m in st["metrics"].items()
+           if m["kind"] == "counter"}
     assert tel["pmemcpy_store_ops"] == 1
     assert tel["pmemcpy_load_ops"] == 1
     # counter balance: every logical byte stored came back out
@@ -215,11 +216,11 @@ def test_meta_lock_telemetry_present(layout):
     def job(ctx):
         pmem = make_pmem(ctx, layout)
         pmem.store("x", np.ones(8))
-        tel = pmem.stats()["telemetry"]
+        metrics = pmem.stats()["metrics"]
         pmem.munmap()
-        return tel
+        return metrics
 
-    tel = run1(job).returns[0]
-    assert tel["meta_lock_acquires"] >= 1
-    assert tel["meta_lock_ns"] > 0
-    assert tel["persist_calls"] >= 1
+    metrics = run1(job).returns[0]
+    assert metrics["meta.lock.acquires"]["value"] >= 1
+    assert metrics["meta.lock.ns"]["sum"] > 0
+    assert metrics["access.persist.bytes"]["count"] >= 1

@@ -1,5 +1,8 @@
 """Tests for the persistent lock primitives (mutex, RW lock, striped table)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import PmdkError
@@ -240,3 +243,30 @@ class TestStripedLocks:
             return [table.lock(i).holder(ctx) for i in range(4)]
 
         assert one_rank(fn) == [None] * 4
+
+
+class TestLockLifetime:
+    def test_remapping_does_not_pin_old_lock_tables(self):
+        """Every mmap opens a fresh 64-lane table on the same pool; once
+        unmapped, the pool must not keep the old lanes alive."""
+        from repro.cluster import Cluster
+        from repro.mpi import Communicator
+        from repro.pmemcpy import PMEM
+
+        cycles, nstripes = 50, 64
+
+        def fn(ctx):
+            comm = Communicator.world(ctx)
+            pmem = PMEM(meta_stripes=nstripes, meta_rw=True)
+            refs = []
+            for _ in range(cycles):
+                pmem.mmap("/pmem/relock", comm)
+                refs.extend(weakref.ref(s) for s in pmem.layout.table.stripes)
+                pmem.munmap()
+            return refs
+
+        cl = Cluster(pmem_capacity=16 * MiB)  # keeps the pool open
+        refs = cl.run(1, fn).returns[0]
+        assert len(refs) == cycles * nstripes
+        gc.collect()
+        assert sum(r() is not None for r in refs) <= nstripes

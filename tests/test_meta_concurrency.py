@@ -18,7 +18,7 @@ from repro.pmemcpy.dataset import dims_key
 from repro.pmemcpy.layout_fs import HierarchicalLayout
 from repro.pmemcpy.layout_hash import HashtableLayout
 from repro.sim import Acquire, run_spmd
-from repro.telemetry import counters_for, metrics_for
+from repro.telemetry import metrics_for
 from repro.units import MiB
 
 LAYOUTS = ["hashtable", "hierarchical"]
@@ -29,6 +29,18 @@ NSTRIPES = 64
 def cluster(**kw):
     kw.setdefault("pmem_capacity", 64 * MiB)
     return Cluster(**kw)
+
+
+def counter_value(ctx, name: str) -> float:
+    """The rank's ``name`` counter, 0 when it was never bumped."""
+    m = metrics_for(ctx).get(name)
+    return 0.0 if m is None else m.value
+
+
+def stripe_lanes(ctx) -> list[float]:
+    """Lanes the rank's stripe-occupancy histogram has samples in."""
+    hist = metrics_for(ctx).get("meta.stripe.acquires")
+    return [] if hist is None else [e for e, _n in hist.nonzero_buckets()]
 
 
 def distinct_stripe_names(n: int, nstripes: int = NSTRIPES) -> list[str]:
@@ -84,11 +96,10 @@ class TestDistinctVariables:
             out = pmem.load(name)
             comm.barrier()
             pmem.munmap()
-            tel = counters_for(ctx)
             return (
                 bool(np.array_equal(out, data)),
-                tel.get("meta.lock.contended"),
-                tel.get("meta.lock.acquires"),
+                counter_value(ctx, "meta.lock.contended"),
+                counter_value(ctx, "meta.lock.acquires"),
             )
 
         res = cl.run(NPROCS, fn)
@@ -100,8 +111,7 @@ class TestDistinctVariables:
         assert acquires >= 3 * NPROCS  # reserve + publish + load, per rank
 
     def test_stripe_occupancy_spreads(self, layout):
-        """The stripe-occupancy histogram shows distinct lanes in use (and
-        its legacy shim reproduces the old per-stripe counter keys)."""
+        """The stripe-occupancy histogram shows distinct lanes in use."""
         cl = cluster()
         names = distinct_stripe_names(NPROCS)
 
@@ -112,29 +122,17 @@ class TestDistinctVariables:
             pmem.store(names[ctx.rank], np.ones(64))
             comm.barrier()
             pmem.munmap()
-            reg = metrics_for(ctx)
-            hist = reg.get("meta.stripe.acquires")
-            lanes = [] if hist is None else                 [edge for edge, _n in hist.nonzero_buckets()]
-            legacy = sorted(
-                k for k in reg.legacy_counters()
-                if k.startswith("meta.stripe.")
-            )
-            return lanes, legacy
+            return stripe_lanes(ctx)
 
         res = cl.run(NPROCS, fn)
-        lanes, legacy = set(), set()
-        for rank_lanes, rank_legacy in res.returns:
+        lanes = set()
+        for rank_lanes in res.returns:
             lanes.update(rank_lanes)
-            legacy.update(rank_legacy)
         if layout == "hashtable":
             assert len(lanes) == NPROCS  # one distinct lane per rank
-            # the --profile shim expands back to the old counter keys
-            assert legacy == {
-                f"meta.stripe.{int(lane)}.acquires" for lane in lanes
-            }
         else:
             # the fs layout locks per variable file, not per hash stripe
-            assert lanes == set() and legacy == set()
+            assert lanes == set()
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -178,18 +176,13 @@ class TestSameVariable:
             pmem.store(f"v{ctx.rank}", np.ones(64))
             comm.barrier()
             pmem.munmap()
-            reg = metrics_for(ctx)
-            lanes = sorted(
-                k for k in reg.legacy_counters()
-                if k.startswith("meta.stripe.")
-            )
-            return lanes, counters_for(ctx).get("meta.lock.acquires")
+            return stripe_lanes(ctx), counter_value(ctx, "meta.lock.acquires")
 
         res = cl.run(4, fn)
         for lanes, acquires in res.returns:
             assert acquires >= 2  # reserve + publish at minimum
             if layout == "hashtable":
-                assert lanes == ["meta.stripe.0.acquires"]
+                assert lanes == [0.0]
             else:
                 assert lanes == []
 

@@ -40,6 +40,12 @@ def make_pmem(ctx, layout, serializer="bp4", filters=()):
     return pmem
 
 
+def counters(st) -> dict[str, float]:
+    """The counter values of a ``PMEM.stats()`` metrics view."""
+    return {k: m["value"] for k, m in st["metrics"].items()
+            if m["kind"] == "counter"}
+
+
 def domain_data():
     from repro.workloads import Domain3D
 
@@ -131,7 +137,7 @@ def test_one_percent_read_is_under_five_percent_of_stored_bytes():
 
     got, st = run1(job).returns[0]
     assert np.array_equal(got, data[18:27, 18:27, 18:27])
-    tel = st["telemetry"]
+    tel = counters(st)
     stored = tel["pmemcpy_stored_write_bytes"]
     read = tel["pmemcpy_stored_read_bytes"]
     assert read < 0.05 * stored, (read, stored)
@@ -153,7 +159,7 @@ def test_staged_serializer_reads_only_intersecting_chunks():
 
     got, st = run1(job).returns[0]
     assert np.array_equal(got, data[18:27, 18:27, 18:27])
-    tel = st["telemetry"]
+    tel = counters(st)
     # bp4 has no ranged unpack: it stages whole chunks — but only the 8
     # (of 64) grid cells the selection intersects
     assert tel["pmemcpy_stored_read_bytes"] < 0.15 * tel["pmemcpy_stored_write_bytes"]
@@ -284,7 +290,7 @@ def test_chunk_cache_pays_decode_once():
         pmem.munmap()
         return st
 
-    tel = run1(job).returns[0]["telemetry"]
+    tel = counters(run1(job).returns[0])
     assert tel["pmemcpy_chunk_cache_misses"] == 1
     assert tel["pmemcpy_chunk_cache_hits"] == 4
     # the stored blob was read (and inflated) exactly once
@@ -346,7 +352,7 @@ def test_chunk_cache_eviction_interleaved_partial_reads():
         pmem.munmap()
         return st
 
-    tel = run1(job).returns[0]["telemetry"]
+    tel = counters(run1(job).returns[0])
     assert tel["pmemcpy_chunk_cache_misses"] == 4
     assert tel["pmemcpy_chunk_cache_hits"] == 3
 

@@ -363,26 +363,19 @@ def test_baseline_entries_carry_engine_column():
     assert doc["scenarios"]["mem.memcpy_persist"]["engine"] == "threads"
 
 
-def test_v1_baseline_migrates_on_load(tmp_path):
-    """A committed /1 baseline (pre-procs-engine) loads as /2 with every
-    scenario stamped engine=threads."""
-    from repro.perf.baseline import BASELINE_SCHEMA, migrate_v1
+def test_pre_v3_baselines_are_rejected(tmp_path):
+    """Only /3 baselines load: an older schema is refused by name."""
+    from repro.perf.baseline import BASELINE_SCHEMA
 
     doc = json.loads(json.dumps(baseline_from_runs([_run_record()])))
-    doc["schema"] = "repro-perf-baseline/1"
-    for entry in doc["scenarios"].values():
-        entry.pop("engine", None)
-
-    migrated = migrate_v1(doc)
-    assert migrated["schema"] == BASELINE_SCHEMA
-    assert migrated["scenarios"]["mem.memcpy_persist"]["engine"] == "threads"
-
     path = tmp_path / "results" / "b.json"
     path.parent.mkdir(parents=True)
-    path.write_text(json.dumps(doc))
-    back = load_baseline(str(path))
-    assert back["schema"] == BASELINE_SCHEMA
-    assert back["scenarios"]["mem.memcpy_persist"]["engine"] == "threads"
+    for old in ("repro-perf-baseline/1", "repro-perf-baseline/2"):
+        doc["schema"] = old
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"schema {old!r} is not "
+                                             f"{BASELINE_SCHEMA!r}"):
+            load_baseline(str(path))
 
 
 def test_compare_refuses_engine_mismatch():

@@ -27,7 +27,7 @@ from repro.serial.base import PmemSource, array_from_bytes
 from repro.sim import run_spmd
 from repro.sim.procengine import procs_available
 from repro.sim.trace import Delay
-from repro.telemetry import counters_for, metrics_for, record, span
+from repro.telemetry import metrics_for, record, span
 from repro.telemetry.spans import reseed_span_ids
 from repro.units import MiB
 
@@ -118,7 +118,10 @@ def snapshot(ctx) -> dict:
     return {
         "ops": list(ctx.trace.ops),
         "lb_ns": ctx.lb_ns,
-        "counters": counters_for(ctx).as_dict(),
+        "counters": {
+            name: m.value for name, m in metrics_for(ctx)._m.items()
+            if m.kind != "histogram"
+        },
         "histograms": {
             name: (list(h.buckets), h.count, h.sum, h.min, h.max)
             for name, h in metrics_for(ctx)._m.items()

@@ -8,9 +8,7 @@ the schema validator; per-rank metric registries aggregate across ranks;
 and driver phase accounting stays correct on error paths.
 """
 
-import functools
 import json
-import operator
 from contextlib import nullcontext
 
 import numpy as np
@@ -23,7 +21,6 @@ from repro.telemetry import (
     LANE_BOUNDS,
     LOG2_BOUNDS,
     Counter,
-    Counters,
     Gauge,
     Histogram,
     MetricRegistry,
@@ -145,25 +142,6 @@ class TestMetricPrimitives:
             assert (many.count, many.sum, many.min, many.max) == \
                 (one.count, one.sum, one.min, one.max)
 
-    def test_counters_add_each_equals_add_each_time(self):
-        one, many = Counters(), Counters()
-        amounts = [0.1] * 1000 + [0.7, 3.0]
-        for c in (one, many):
-            c.add("b", 0.3)
-        for a in amounts:
-            one.add("b", a)
-        many.add_each("b", amounts)
-        many.add_each("untouched", [])
-        assert many.as_dict() == one.as_dict()
-        # the order matters here: pre-summing the amounts lands elsewhere
-        pre = Counters()
-        pre.add("b", 0.3)
-        pre.add("b", functools.reduce(operator.add, amounts, 0.0))
-        assert pre.get("b") != one.get("b")
-        with pytest.raises(ValueError):
-            many.add_each("b", [1.0, -1.0])
-        assert many.as_dict() == one.as_dict()
-
     def test_merge_requires_matching_bounds(self):
         a = Histogram("a")
         b = Histogram("a", LANE_BOUNDS)
@@ -186,20 +164,6 @@ class TestMetricPrimitives:
         back = MetricRegistry.from_dict(doc)
         assert back.as_dict() == reg.as_dict()
         assert back.get("meta.stripe.acquires").bounds == LANE_BOUNDS
-
-    def test_legacy_counters_shim(self):
-        reg = MetricRegistry()
-        reg.counter("pmdk.lock.acquires").add(4)
-        reg.histogram("meta.stripe.acquires", LANE_BOUNDS).observe(0.0)
-        reg.histogram("meta.stripe.acquires", LANE_BOUNDS).observe(5.0)
-        reg.histogram("meta.stripe.acquires", LANE_BOUNDS).observe(5.0)
-        reg.histogram("meta.lock.ns").observe(250.0)
-        legacy = reg.legacy_counters()
-        assert legacy["pmdk.lock.acquires"] == 4
-        assert legacy["meta.stripe.0.acquires"] == 1
-        assert legacy["meta.stripe.5.acquires"] == 2
-        assert legacy["meta.lock.ns.count"] == 1
-        assert legacy["meta.lock.ns.sum"] == 250.0
 
     def test_cross_rank_aggregation(self):
         res = store_run("hashtable", nprocs=4)
@@ -473,13 +437,12 @@ def test_stats_returns_deep_copies(layout):
         pmem.store("A", np.ones(64))
         st = pmem.stats()
         st["variables"]["A"]["nchunks"] = 999     # vandalize the snapshot
-        st["telemetry"]["pmem_write_ops"] = -1.0
+        st["metrics"]["pmemcpy_store_ops"]["value"] = -1.0
         st["metrics"].clear()
         st["variables"].clear()
         fresh = pmem.stats()
         assert fresh["variables"]["A"]["nchunks"] != 999
-        assert fresh["telemetry"]["pmem_write_ops"] > 0
-        assert fresh["metrics"]
+        assert fresh["metrics"]["pmemcpy_store_ops"]["value"] == 1
         # the live registry was never touched
         assert metrics_for(ctx).get("pmemcpy.store.ns").count == 1
         pmem.munmap()
@@ -524,11 +487,11 @@ class TestDriverErrorAccounting:
                 drv.write(ctx, "v", np.zeros(8), (0,))
             with pytest.raises(OSError):
                 drv.read(ctx, "v", (0,), (8,))
-            tel = ctx.trace.telemetry.as_dict()
-            assert tel["driver_write_errors"] == 1
-            assert tel["driver_read_errors"] == 1
-            assert "driver_write_ops" not in tel
-            assert "driver_read_ops" not in tel
+            reg = metrics_for(ctx)
+            assert reg.get("driver_write_errors").value == 1
+            assert reg.get("driver_read_errors").value == 1
+            assert "driver_write_ops" not in reg
+            assert "driver_read_ops" not in reg
 
         res = cl.run(1, fn)
         statuses = {s.name: s.status for s in spans_of(res.traces)}
@@ -554,12 +517,12 @@ class TestDriverErrorAccounting:
             out = drv.read(ctx, "v", (0,), (16,))
             drv.close(ctx)
             np.testing.assert_array_equal(out, np.arange(16.0))
-            tel = ctx.trace.telemetry.as_dict()
-            assert tel["driver_write_ops"] == 1
-            assert tel["driver_write_bytes"] == 128
-            assert tel["driver_read_ops"] == 1
-            assert tel["driver_read_bytes"] == 128
-            assert "driver_write_errors" not in tel
+            reg = metrics_for(ctx)
+            assert reg.get("driver_write_ops").value == 1
+            assert reg.get("driver_write_bytes").value == 128
+            assert reg.get("driver_read_ops").value == 1
+            assert reg.get("driver_read_bytes").value == 128
+            assert "driver_write_errors" not in reg
 
         cl.run(1, fn)
 
@@ -582,9 +545,10 @@ def test_job_result_carries_metrics_and_spans():
     # typed registry serialized per job
     reg = MetricRegistry.from_dict(r.metrics)
     assert reg.get("pmemcpy.store.ns").count >= 2
-    # the legacy per-stripe keys survive in the flat telemetry view
-    assert any(k.startswith("meta.stripe.") and k.endswith(".acquires")
-               for k in r.telemetry)
+    # stripe occupancy and the device's persistence counters ride along
+    assert reg.get("meta.stripe.acquires").nonzero_buckets()
+    assert reg.get("device_stores").kind == "gauge"
+    assert reg.get("device_stores").value > 0
     # spans exported as dicts, chrome-trace ready
     spans = spans_from_dicts(r.spans)
     assert any(s.name == "pmemcpy.store" for s in spans)
