@@ -4,7 +4,7 @@ Every benchmark regenerates one paper artifact (figure/table) or one
 ablation; the rendered output goes to stdout *and* ``results/`` so it
 survives pytest's capture.  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/
 """
 
 import os
@@ -24,12 +24,11 @@ def emit(name: str, text: str) -> None:
 
 
 @pytest.fixture
-def once(benchmark):
-    """Run the (deterministic) experiment exactly once under the benchmark
-    fixture; repeated rounds would only re-measure simulator wall time."""
+def once():
+    """Run the (deterministic) experiment exactly once: its figures are on
+    the modeled clock, so repeating it would only re-measure the host."""
 
     def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
+        return fn(*args, **kwargs)
 
     return _run

@@ -3,7 +3,7 @@ node and renders/exports the resulting tables and figures.
 
 ``python -m repro.harness <fig6|fig7|api|breakdown|...>`` regenerates each
 artifact from the command line; the ``benchmarks/`` tree drives the same
-entry points under pytest-benchmark.
+entry points under pytest.
 """
 
 from .experiment import (

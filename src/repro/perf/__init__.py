@@ -6,18 +6,19 @@ Turns the repo's one-shot benchmarks into a tracked, gated time series:
   per driver × proc count, pmdk micros, metadata-lock contention, the
   memcpy/persist hot path), each yielding exact modeled-ns plus span
   families;
-- :mod:`.measure` — the timing discipline (GC paused, repeated wall
-  samples, ``REPRO_TRACE=full``);
+- :mod:`.measure` — one ``REPRO_TRACE=full`` run per scenario;
 - :mod:`.baseline` — the committed ``results/perf_baseline.json``
   snapshot;
-- :mod:`.compare` — noise-aware gating (modeled ±1% hard, wall
-  median+IQR, env-fingerprinted) with **span-diff attribution**: a
-  failing gate ranks the span families (``meta.lock``,
-  ``store.persist``, ``pmdk.tx``, ...) responsible for the slowdown;
+- :mod:`.compare` — the modeled gate (±1% hard, or a scenario's declared
+  tolerance) with **span-diff attribution**: a failing gate ranks the
+  span families (``meta.lock``, ``store.persist``, ``pmdk.tx``, ...)
+  responsible for the slowdown;
 - :mod:`.report` — history sparklines over prior ``BENCH_PERF.json``
   artifacts.
 
-See DESIGN.md §10 for the measurement rules and baseline update policy.
+Every figure here is on the modeled clock; host wall time belongs to
+``bench/``.  See DESIGN.md §10 for the measurement rules and baseline
+update policy.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ from .compare import (
     attribute_families,
     compare_runs,
 )
-from .measure import Measurement, WallStats, measure_all, measure_scenario
+from .measure import Measurement, measure_all, measure_scenario
 from .report import load_history, render_perf_report, sparkline
 from .scenarios import Scenario, all_scenarios, get, select
 
 __all__ = [
     "Scenario", "all_scenarios", "get", "select",
-    "Measurement", "WallStats", "measure_scenario", "measure_all",
+    "Measurement", "measure_scenario", "measure_all",
     "baseline_from_runs", "save_baseline", "load_baseline",
     "DEFAULT_BASELINE_PATH",
     "compare_runs", "attribute_families", "CompareReport",

@@ -3,13 +3,12 @@
 Usage::
 
     # measure the scenario suite -> BENCH_PERF.json (unified bench schema)
-    python -m repro.perf run [--quick] [--scenario NAME ...] [--repeats N]
+    python -m repro.perf run [--quick] [--scenario NAME ...]
 
     # gate BENCH_PERF.json against the committed baseline; on failure the
     # report ranks the span families responsible for the slowdown
     python -m repro.perf compare [--bench BENCH_PERF.json]
-        [--baseline results/perf_baseline.json] [--wall-gate auto|on|off]
-        [--report FILE] [--json FILE]
+        [--baseline results/perf_baseline.json] [--report FILE] [--json FILE]
 
     # snapshot the current BENCH file (or a fresh run) as the baseline
     python -m repro.perf update-baseline [--bench BENCH_PERF.json]
@@ -28,6 +27,9 @@ Usage::
     # the doctor's own gate: byte-stable output, shares summing to 100%
     # on both engines, and a 400x lock inflation correctly blamed
     python -m repro.perf doctor --selftest
+
+    # host-clock procs-vs-threads ratio of every procs.* twin pair
+    python -m repro.perf speedup [--min-cores N] [--expect X]
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
+from time import perf_counter
 
 from ..telemetry.bench import bench_doc, load_bench, write_bench
 from ..telemetry.metrics import _fmt_quantity
@@ -46,27 +50,25 @@ from .baseline import (
     save_baseline,
 )
 from .compare import compare_runs
-from .measure import DEFAULT_REPEATS, QUICK_REPEATS, Measurement, measure_all
+from .measure import measure_all, measure_scenario
 from .report import load_history, render_perf_report
-from .scenarios import get, select
+from .scenarios import all_scenarios, get, select
 
 DEFAULT_BENCH_PATH = "BENCH_PERF.json"
 BENCH_NAME = "perf_scenarios"
+#: timed runs per engine in each ``speedup`` twin pair
+SPEEDUP_RUNS = 3
 
 
 def _measure(args) -> list[dict]:
     scenarios = select(quick=args.quick, names=args.scenario or None,
                        groups=getattr(args, "group", None) or None)
-    repeats = args.repeats or (QUICK_REPEATS if args.quick
-                               else DEFAULT_REPEATS)
 
     def progress(m):
         print(f"[perf] {m.scenario:<24} "
-              f"modeled {_fmt_quantity(m.modeled_ns, 'ns'):<18} "
-              f"wall median {m.wall.median_s:.3f}s "
-              f"(best {m.wall.best_s:.3f}s, n={len(m.wall.samples)})")
+              f"modeled {_fmt_quantity(m.modeled_ns, 'ns')}")
 
-    return [m.as_run() for m in measure_all(scenarios, repeats, progress)]
+    return [m.as_run() for m in measure_all(scenarios, progress)]
 
 
 def cmd_run(args) -> int:
@@ -84,12 +86,7 @@ def cmd_compare(args) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rep = compare_runs(
-        baseline, doc.get("runs", []),
-        modeled_gate=args.modeled_gate,
-        wall_gate=args.wall_gate,
-        cur_env=doc.get("env"),
-    )
+    rep = compare_runs(baseline, doc.get("runs", []))
     text = rep.render()
     print(text)
     if args.report:
@@ -134,14 +131,12 @@ def cmd_update_baseline(args) -> int:
     if os.path.exists(args.bench) and not args.fresh:
         doc = load_bench(args.bench)
         runs = doc.get("runs", [])
-        env = doc.get("env")
         print(f"[baseline] snapshotting {args.bench} ({len(runs)} scenarios)")
     else:
         print("[baseline] measuring a fresh run "
               f"({'quick' if args.quick else 'full'} budget)")
         runs = _measure(args)
-        env = None
-    path = save_baseline(args.baseline, baseline_from_runs(runs, env))
+    path = save_baseline(args.baseline, baseline_from_runs(runs))
     print(f"[baseline] {path}")
     return 0
 
@@ -161,12 +156,11 @@ def cmd_selftest(args) -> int:
     gate and (b) be attributed to ``meta.lock``."""
     from ..pmdk import hashmap as _hashmap
     from ..pmdk import locks as _locks
-    from .measure import measure_scenario
 
     names = ("meta.lock_single", "meta.lock_striped")
     scenarios = [get(n) for n in names]
     print(f"[selftest] baseline pass over {', '.join(names)}")
-    base_runs = [measure_scenario(s, repeats=1).as_run() for s in scenarios]
+    base_runs = [measure_scenario(s).as_run() for s in scenarios]
     baseline = baseline_from_runs(base_runs)
 
     factor = args.factor
@@ -176,13 +170,12 @@ def cmd_selftest(args) -> int:
     _locks.LOCK_OVERHEAD_NS = old * factor
     _hashmap.LOCK_OVERHEAD_NS = old * factor
     try:
-        cur_runs = [measure_scenario(s, repeats=1).as_run()
-                    for s in scenarios]
+        cur_runs = [measure_scenario(s).as_run() for s in scenarios]
     finally:
         _locks.LOCK_OVERHEAD_NS = old
         _hashmap.LOCK_OVERHEAD_NS = old
 
-    rep = compare_runs(baseline, cur_runs, wall_gate="off")
+    rep = compare_runs(baseline, cur_runs)
     print(rep.render())
     if rep.ok:
         print("error: inflated lock overhead did not trip the modeled gate",
@@ -434,63 +427,62 @@ def _doctor_selftest(args) -> int:
     return 0
 
 
-def cmd_speedup(args) -> int:
-    """Gate the procs-vs-threads wall ratio of the ``procs.*`` twin pairs.
+def _twin_pairs() -> dict[str, dict]:
+    """``{stem: {"threads": Scenario, "procs": Scenario}}`` for every
+    complete ``procs.*`` twin pair in the registry."""
+    pairs: dict[str, dict] = {}
+    for s in all_scenarios():
+        if s.group == "procs":
+            stem, _, eng = s.name.rpartition(".")
+            pairs.setdefault(stem, {})[eng] = s
+    return {stem: pair for stem, pair in sorted(pairs.items())
+            if set(pair) == {"threads", "procs"}}
 
-    Small hosts can't demonstrate real parallelism, so the gate skips
-    (exit 0, explicit log line) below ``--min-cores``."""
+
+def cmd_speedup(args) -> int:
+    """Gate the procs-vs-threads host-clock ratio of the ``procs.*`` pairs.
+
+    Host parallelism is what this command observes, so it keeps its own
+    clock: each pair's threads and procs runs alternate, ``SPEEDUP_RUNS``
+    each, and the medians are compared.  Below ``--min-cores`` there is
+    no parallelism to observe, so nothing runs and the verdict is "not
+    measurable" (exit 0), never a pass."""
     ncpu = os.cpu_count() or 1
     if ncpu < args.min_cores:
-        print(f"[speedup] SKIP: host has {ncpu} core(s); the "
-              f"procs-vs-threads wall comparison needs >= {args.min_cores} "
+        print(f"[speedup] not measurable: host has {ncpu} core(s); the "
+              f"procs-vs-threads comparison needs >= {args.min_cores} "
               f"(--min-cores)")
         return 0
-    doc = load_bench(args.bench)
-    pairs: dict[str, dict[str, Measurement]] = {}
-    for r in doc.get("runs", []):
-        m = Measurement.from_run(r)
-        if not m.scenario.startswith("procs."):
-            continue
-        stem, _, eng = m.scenario.rpartition(".")
-        if eng in ("threads", "procs"):
-            pairs.setdefault(stem, {})[eng] = m
-    checked = 0
     ok = True
-    for stem in sorted(pairs):
-        pair = pairs[stem]
-        if "threads" not in pair or "procs" not in pair:
-            print(f"[speedup] {stem}: incomplete twin pair "
-                  f"({', '.join(sorted(pair))} only) — skipping")
+    for stem, pair in _twin_pairs().items():
+        reason = pair["procs"].skip and pair["procs"].skip()
+        if reason:
+            print(f"[speedup] {stem}: not measurable: {reason}")
             continue
-        t = pair["threads"].wall.median_s
-        p = pair["procs"].wall.median_s
-        if p <= 0:
-            print(f"[speedup] {stem}: procs wall median is 0 — skipping")
-            continue
+        samples: dict[str, list[float]] = {"threads": [], "procs": []}
+        for _ in range(SPEEDUP_RUNS):
+            for eng, times in samples.items():
+                t0 = perf_counter()
+                pair[eng].run()
+                times.append(perf_counter() - t0)
+        t = statistics.median(samples["threads"])
+        p = statistics.median(samples["procs"])
         ratio = t / p
-        checked += 1
         good = ratio >= args.expect
         ok = ok and good
         print(f"[speedup] {stem}: threads {t:.3f}s / procs {p:.3f}s "
               f"= {ratio:.2f}x "
               f"({'ok' if good else f'below the {args.expect:g}x gate'})")
-    if checked == 0:
-        print(f"[speedup] SKIP: no complete procs.* twin pairs in "
-              f"{args.bench} — run `python -m repro.perf run --group procs` "
-              f"on a multi-core host first")
-        return 0
     return 0 if ok else 1
 
 
 def _add_measure_args(p, *, out: bool) -> None:
     p.add_argument("--quick", action="store_true",
-                   help="small CI budget: quick scenarios, fewer repeats")
+                   help="small CI budget: quick scenarios only")
     p.add_argument("--scenario", action="append", metavar="NAME",
                    help="measure only NAME (repeatable)")
     p.add_argument("--group", action="append", metavar="GROUP",
                    help="measure only scenarios in GROUP (repeatable)")
-    p.add_argument("--repeats", type=int, default=None,
-                   help="wall samples per scenario")
     if out:
         p.add_argument("--out", default=DEFAULT_BENCH_PATH)
 
@@ -506,10 +498,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="gate a BENCH file vs the baseline")
     p.add_argument("--bench", default=DEFAULT_BENCH_PATH)
     p.add_argument("--baseline", default=DEFAULT_BASELINE_PATH)
-    p.add_argument("--modeled-gate", type=float, default=0.01,
-                   help="modeled-ns regression gate fraction")
-    p.add_argument("--wall-gate", choices=("auto", "on", "off"),
-                   default="auto")
     p.add_argument("--report", default=None, metavar="FILE",
                    help="also write the rendered report to FILE")
     p.add_argument("--json", default=None, metavar="FILE",
@@ -533,10 +521,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("speedup",
-                       help="gate procs-vs-threads wall ratio (procs.* pairs)")
-    p.add_argument("--bench", default=DEFAULT_BENCH_PATH)
+                       help="time the procs.* twin pairs and gate the "
+                            "procs-vs-threads ratio")
     p.add_argument("--min-cores", type=int, default=2,
-                   help="skip (exit 0) on hosts with fewer cores")
+                   help="fewer cores: not measurable, run nothing (exit 0)")
     p.add_argument("--expect", type=float, default=4.0,
                    help="minimum threads/procs wall ratio")
     p.set_defaults(fn=cmd_speedup)

@@ -4,11 +4,11 @@ The baseline is a snapshot of every scenario's tracked figures, written
 by ``python -m repro.perf update-baseline`` and committed to the repo.
 ``compare`` gates the current run against it:
 
-- **modeled_ns** is exact (deterministic simulator clock), so any drift
-  is a real code change — the gate is a hard ±1%;
-- **wall** figures are only comparable on the machine that produced them
-  — the gate arms itself only when the env fingerprints match (or with
-  ``--wall-gate on``), using median + IQR thresholds.
+**modeled_ns** is exact (deterministic simulator clock), so any drift
+is a real code change — the gate is a hard ±1%, widened only where a
+scenario declares its own ``modeled_tolerance_frac``.  The baseline holds
+no host figures: they would only be comparable on the machine that
+produced them, and ``bench/`` owns that clock.
 
 Update policy (DESIGN.md §10): refresh the baseline in the same PR as an
 *intentional* perf change, with the compare report (which names the
@@ -20,14 +20,13 @@ from __future__ import annotations
 import json
 import os
 
-from ..telemetry.bench import bench_env
 from .measure import Measurement
 
 BASELINE_SCHEMA = "repro-perf-baseline/3"
 DEFAULT_BASELINE_PATH = os.path.join("results", "perf_baseline.json")
 
 
-def baseline_from_runs(runs: list[dict], env: dict | None = None) -> dict:
+def baseline_from_runs(runs: list[dict]) -> dict:
     """Assemble a baseline document from ``runs[]`` records."""
     scenarios = {}
     for r in runs:
@@ -39,18 +38,13 @@ def baseline_from_runs(runs: list[dict], env: dict | None = None) -> dict:
             "modeled_ns": m.modeled_ns,
             "families": dict(m.families),
             "latency": dict(m.latency),
-            "wall": m.wall.as_dict(),
         }
         if m.modeled_tolerance_frac is not None:
             entry["modeled_tolerance_frac"] = m.modeled_tolerance_frac
         if m.critpath is not None:
             entry["critpath"] = m.critpath
         scenarios[m.scenario] = entry
-    return {
-        "schema": BASELINE_SCHEMA,
-        "env": env if env is not None else bench_env(),
-        "scenarios": scenarios,
-    }
+    return {"schema": BASELINE_SCHEMA, "scenarios": scenarios}
 
 
 def save_baseline(path: str, doc: dict) -> str:

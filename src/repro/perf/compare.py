@@ -1,16 +1,11 @@
-"""Noise-aware regression gating with span-diff attribution.
+"""Modeled-clock regression gating with span-diff attribution.
 
-Two gates per scenario, tuned to each clock's noise model:
-
-- **modeled gate** — the simulator clock is deterministic, so the delta
-  between baseline and current ``modeled_ns`` is exact; anything beyond
-  ±:data:`MODELED_GATE_FRAC` (1%) is a real change.  Slowdowns fail;
-  speedups are reported as ``improved`` (refresh the baseline).
-- **wall gate** — wall samples are noisy; the threshold is
-  ``baseline.median + max(k * baseline.IQR, rel_floor * baseline.median,
-  abs_floor)`` (Tukey-style with floors sized for 2-3 samples), and the
-  gate only *arms* when the env fingerprints match (``auto``) or is
-  forced with ``on``.  Otherwise wall drift is reported but advisory.
+The simulator clock is deterministic, so the delta between baseline and
+current ``modeled_ns`` is exact: anything beyond ±:data:`MODELED_GATE_FRAC`
+(1%), or a scenario's own declared ``modeled_tolerance_frac`` when wider,
+is a real change.  Slowdowns fail; speedups are reported as ``improved``
+(refresh the baseline).  Host wall time is not gated here — ``bench/``
+owns that clock.
 
 The observability heart is :func:`attribute_families`: the per-family
 exclusive-time maps of baseline and current run are merged and ranked by
@@ -22,21 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..telemetry.bench import env_fingerprint
 from ..telemetry.metrics import _fmt_quantity
 from .measure import Measurement
 
 MODELED_GATE_FRAC = 0.01
-WALL_IQR_K = 1.5
-#: floors under which wall drift is never gate-worthy — with 2-3 samples
-#: the IQR degenerates toward 0, and sub-second scenarios jitter 10-25%
-#: under background load; the relative + absolute floors absorb both
-#: while a genuine ~2x slowdown still trips the gate
-WALL_FLOOR_FRAC = 0.25
-WALL_ABS_FLOOR_S = 0.05
 
 #: verdict statuses that fail the gate
-FAILING = ("modeled-regression", "wall-regression", "engine-mismatch")
+FAILING = ("modeled-regression", "engine-mismatch")
 
 
 @dataclass
@@ -86,18 +73,13 @@ def attribute_families(base: dict, cur: dict,
 @dataclass
 class ScenarioVerdict:
     scenario: str
-    # ok | improved | modeled-regression | wall-regression | engine-mismatch
-    # | new
+    # ok | improved | modeled-regression | engine-mismatch | new
     status: str
     base_engine: str = "threads"
     cur_engine: str = "threads"
     base_modeled_ns: float = 0.0
     cur_modeled_ns: float = 0.0
     modeled_delta_frac: float = 0.0
-    wall_base_median_s: float = 0.0
-    wall_cur_median_s: float = 0.0
-    wall_threshold_s: float = 0.0
-    wall_exceeded: bool = False
     attribution: list[FamilyDelta] = field(default_factory=list)
     #: per-family critical-path deltas (repro.telemetry.critpath rows) for
     #: failed scenarios where both sides recorded a critpath summary
@@ -118,10 +100,6 @@ class ScenarioVerdict:
             "base_modeled_ns": self.base_modeled_ns,
             "cur_modeled_ns": self.cur_modeled_ns,
             "modeled_delta_frac": round(self.modeled_delta_frac, 6),
-            "wall_base_median_s": self.wall_base_median_s,
-            "wall_cur_median_s": self.wall_cur_median_s,
-            "wall_threshold_s": self.wall_threshold_s,
-            "wall_exceeded": self.wall_exceeded,
         }
         if self.attribution:
             d["attribution"] = [a.as_dict() for a in self.attribution]
@@ -135,8 +113,6 @@ class ScenarioVerdict:
 @dataclass
 class CompareReport:
     verdicts: list[ScenarioVerdict]
-    wall_gated: bool
-    modeled_gate_frac: float
     missing: list[str] = field(default_factory=list)
 
     @property
@@ -185,8 +161,6 @@ class CompareReport:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "wall_gated": self.wall_gated,
-            "modeled_gate_frac": self.modeled_gate_frac,
             "top_family": self.top_family(),
             "top_critpath_family": self.top_critpath_family(),
             "doctor_narrative": self.doctor_narrative(),
@@ -195,18 +169,14 @@ class CompareReport:
         }
 
     def render(self) -> str:
-        lines = ["== perf comparison =="]
-        lines.append(
-            f"  modeled gate ±{self.modeled_gate_frac * 100:.1f}% (exact)  |  "
-            f"wall gate {'armed' if self.wall_gated else 'advisory (env differs or off)'}"
-        )
+        lines = ["== perf comparison ==",
+                 f"  modeled gate ±{MODELED_GATE_FRAC * 100:.1f}% (exact)"]
         for v in self.verdicts:
             mark = {"ok": " ", "improved": "+", "new": "?"}.get(v.status, "!")
             lines.append(
                 f"  [{mark}] {v.scenario:<24} {v.status:<19} "
                 f"modeled {_fmt_quantity(v.cur_modeled_ns, 'ns'):<18} "
-                f"({v.modeled_delta_frac * +100:+.2f}% vs baseline)  "
-                f"wall {v.wall_cur_median_s:.3f}s"
+                f"({v.modeled_delta_frac * +100:+.2f}% vs baseline)"
             )
             if v.status == "engine-mismatch":
                 lines.append(
@@ -248,25 +218,9 @@ class CompareReport:
         return "\n".join(lines)
 
 
-def compare_runs(
-    baseline_doc: dict,
-    runs: list[dict],
-    *,
-    modeled_gate: float = MODELED_GATE_FRAC,
-    wall_gate: str = "auto",          # auto | on | off
-    iqr_k: float = WALL_IQR_K,
-    cur_env: dict | None = None,
-) -> CompareReport:
+def compare_runs(baseline_doc: dict, runs: list[dict]) -> CompareReport:
     """Gate ``runs[]`` records against a committed baseline document."""
-    if wall_gate not in ("auto", "on", "off"):
-        raise ValueError(f"wall_gate must be auto|on|off, got {wall_gate!r}")
     base_scenarios = baseline_doc.get("scenarios", {})
-    envs_match = (
-        env_fingerprint(baseline_doc.get("env"))
-        == env_fingerprint(cur_env)
-    )
-    gated = wall_gate == "on" or (wall_gate == "auto" and envs_match)
-
     verdicts: list[ScenarioVerdict] = []
     seen: set[str] = set()
     for r in runs:
@@ -277,7 +231,6 @@ def compare_runs(
             verdicts.append(ScenarioVerdict(
                 m.scenario, "new", cur_engine=m.engine,
                 cur_modeled_ns=m.modeled_ns,
-                wall_cur_median_s=m.wall.median_s,
             ))
             continue
         base_engine = str(base.get("engine", "threads"))
@@ -290,9 +243,6 @@ def compare_runs(
                 base_engine=base_engine, cur_engine=m.engine,
                 base_modeled_ns=float(base["modeled_ns"]),
                 cur_modeled_ns=m.modeled_ns,
-                wall_base_median_s=float(
-                    base.get("wall", {}).get("median_s", 0.0)),
-                wall_cur_median_s=m.wall.median_s,
             ))
             continue
         base_ns = float(base["modeled_ns"])
@@ -304,20 +254,9 @@ def compare_runs(
             float(base.get("modeled_tolerance_frac") or 0.0),
             float(m.modeled_tolerance_frac or 0.0),
         )
-        gate_frac = max(modeled_gate, tol)
-
-        base_wall = base.get("wall", {})
-        wall_median = float(base_wall.get("median_s", 0.0))
-        wall_iqr = float(base_wall.get("iqr_s", 0.0))
-        threshold = wall_median + max(
-            iqr_k * wall_iqr, WALL_FLOOR_FRAC * wall_median, WALL_ABS_FLOOR_S
-        )
-        wall_exceeded = bool(wall_median) and m.wall.median_s > threshold
-
+        gate_frac = max(MODELED_GATE_FRAC, tol)
         if delta_frac > gate_frac:
             status = "modeled-regression"
-        elif gated and wall_exceeded:
-            status = "wall-regression"
         elif delta_frac < -gate_frac:
             status = "improved"
         else:
@@ -344,18 +283,9 @@ def compare_runs(
             base_modeled_ns=base_ns,
             cur_modeled_ns=m.modeled_ns,
             modeled_delta_frac=delta_frac,
-            wall_base_median_s=wall_median,
-            wall_cur_median_s=m.wall.median_s,
-            wall_threshold_s=round(threshold, 6),
-            wall_exceeded=wall_exceeded,
             attribution=attribution,
             critpath_culprits=culprits,
             narrative=narrative,
         ))
     missing = sorted(set(base_scenarios) - seen)
-    return CompareReport(
-        verdicts=verdicts,
-        wall_gated=gated,
-        modeled_gate_frac=modeled_gate,
-        missing=missing,
-    )
+    return CompareReport(verdicts=verdicts, missing=missing)

@@ -1,73 +1,20 @@
-"""Scenario measurement: exact modeled time + disciplined wall clock.
+"""Scenario measurement on the modeled clock.
 
-Each scenario is executed ``repeats`` times with the PR 4 overhead-gate
-timing discipline — GC paused for the timed region (collected between
-samples), ``REPRO_TRACE`` forced to ``full`` so the span families are
-always recorded, and the whole scenario (functional pass + timing pass)
-inside the timed window.  The **modeled** figures come from the first
-execution and are exact/repeat-free; the **wall** figures keep every
-sample so the comparison can derive noise-aware thresholds
-(median + IQR, :mod:`repro.perf.compare`).
+Each scenario runs once with ``REPRO_TRACE`` forced to ``full`` so the
+span families are always recorded.  Everything it reports — the exact
+modeled makespan, per-family exclusive time, latency percentiles and the
+critical-path summary — comes from the simulator clock, so one run is
+the measurement.  Host wall time is not measured here: ``bench/`` owns
+that clock (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
-import gc
 import os
-import statistics
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..telemetry.spans import TRACE_ENV
 from .scenarios import Scenario
-
-#: default wall repeats per scenario (full / --quick runs)
-DEFAULT_REPEATS = 3
-QUICK_REPEATS = 2
-
-
-@dataclass
-class WallStats:
-    """Repeated wall-clock samples of one scenario, summarized."""
-
-    samples: list[float] = field(default_factory=list)
-    best_s: float = 0.0
-    median_s: float = 0.0
-    iqr_s: float = 0.0
-
-    @classmethod
-    def from_samples(cls, samples: list[float]) -> "WallStats":
-        if not samples:
-            return cls()
-        med = statistics.median(samples)
-        if len(samples) >= 2:
-            q = statistics.quantiles(samples, n=4, method="inclusive")
-            iqr = q[2] - q[0]
-        else:
-            iqr = 0.0
-        return cls(
-            samples=[round(s, 6) for s in samples],
-            best_s=round(min(samples), 6),
-            median_s=round(med, 6),
-            iqr_s=round(iqr, 6),
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "samples": list(self.samples),
-            "best_s": self.best_s,
-            "median_s": self.median_s,
-            "iqr_s": self.iqr_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WallStats":
-        return cls(
-            samples=[float(s) for s in d.get("samples", [])],
-            best_s=float(d.get("best_s", 0.0)),
-            median_s=float(d.get("median_s", 0.0)),
-            iqr_s=float(d.get("iqr_s", 0.0)),
-        )
 
 
 @dataclass
@@ -80,7 +27,6 @@ class Measurement:
     modeled_ns: float
     families: dict
     latency: dict
-    wall: WallStats
     modeled_tolerance_frac: float | None = None
     engine: str = "threads"
     #: compact critical-path summary ({"total_ns", "families", "source"})
@@ -96,7 +42,6 @@ class Measurement:
             "modeled_ns": self.modeled_ns,
             "families": dict(self.families),
             "latency": dict(self.latency),
-            "wall": self.wall.as_dict(),
         }
         if self.modeled_tolerance_frac is not None:
             out["modeled_tolerance_frac"] = self.modeled_tolerance_frac
@@ -114,35 +59,19 @@ class Measurement:
             modeled_ns=float(d["modeled_ns"]),
             families={k: float(v) for k, v in d.get("families", {}).items()},
             latency=d.get("latency", {}),
-            wall=WallStats.from_dict(d.get("wall", {})),
             modeled_tolerance_frac=float(tol) if tol is not None else None,
             engine=d.get("engine", "threads"),
             critpath=d.get("critpath"),
         )
 
 
-def measure_scenario(scenario: Scenario,
-                     repeats: int = DEFAULT_REPEATS) -> Measurement:
-    """Run one scenario ``repeats`` times under the timing discipline."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+def measure_scenario(scenario: Scenario) -> Measurement:
+    """Run one scenario once under full tracing."""
     prev_trace = os.environ.get(TRACE_ENV)
     os.environ[TRACE_ENV] = "full"
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    record = None
-    samples: list[float] = []
     try:
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            rec = scenario.run()
-            samples.append(time.perf_counter() - t0)
-            if record is None:
-                record = rec
-            gc.collect()
+        record = scenario.run()
     finally:
-        if gc_was_enabled:
-            gc.enable()
         if prev_trace is None:
             os.environ.pop(TRACE_ENV, None)
         else:
@@ -154,15 +83,13 @@ def measure_scenario(scenario: Scenario,
         modeled_ns=float(record["modeled_ns"]),
         families={k: float(v) for k, v in record["families"].items()},
         latency=record.get("latency", {}),
-        wall=WallStats.from_samples(samples),
         modeled_tolerance_frac=scenario.modeled_tolerance_frac,
         engine=getattr(scenario, "engine", "threads"),
         critpath=record.get("critpath"),
     )
 
 
-def measure_all(scenarios, repeats: int = DEFAULT_REPEATS,
-                progress=None, skip_log=print) -> list[Measurement]:
+def measure_all(scenarios, progress=None, skip_log=print) -> list[Measurement]:
     out = []
     for s in scenarios:
         skip = getattr(s, "skip", None)
@@ -170,7 +97,7 @@ def measure_all(scenarios, repeats: int = DEFAULT_REPEATS,
         if reason:
             skip_log(f"[perf] SKIP {s.name}: {reason}")
             continue
-        m = measure_scenario(s, repeats)
+        m = measure_scenario(s)
         if progress is not None:
             progress(m)
         out.append(m)

@@ -88,8 +88,7 @@ def render_perf_report(
             vs = "   (no baseline)"
         lines.append(
             f"  {m.scenario:<{width}}  "
-            f"modeled {_fmt_quantity(m.modeled_ns, 'ns'):<18} "
-            f"wall {m.wall.median_s:7.3f}s  {vs}  {spark}"
+            f"modeled {_fmt_quantity(m.modeled_ns, 'ns'):<18} {vs}  {spark}"
         )
         top = sorted(m.families.items(), key=lambda kv: -kv[1])[:3]
         total = sum(m.families.values()) or 1.0

@@ -65,7 +65,7 @@ class Scenario:
     #: refuses to gate a run against a different engine's figures)
     engine: str = "threads"
     #: returns a human-readable reason to skip on this host, or None;
-    #: measure_all logs the reason and omits the scenario
+    #: measure_all and ``perf speedup`` log the reason and omit it
     skip: Callable[[], str | None] | None = None
 
 
@@ -202,15 +202,16 @@ def _pmdk_tx_commit() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# procs-engine wall-clock scenarios (threads/procs twin pair)
+# procs-engine scenarios (threads/procs twin pairs)
 # ---------------------------------------------------------------------------
 #
 # Each twin pair runs the *same* fig6-style PMCPY-B write under each rank
-# engine; modeled_ns must agree within the standard gate, while the wall
-# columns expose the real-parallelism speedup the procs engine buys on a
-# multi-core host (``python -m repro.perf speedup`` gates the ratio, and
-# does its own core-count skip — the scenarios themselves run anywhere
-# fork works, so single-core hosts still track the modeled columns).
+# engine; modeled_ns must agree within the standard gate.  The speedup the
+# procs engine buys on a multi-core host is a host-clock figure, so the
+# observatory never records it: ``python -m repro.perf speedup`` times the
+# pairs itself and reports "not measurable" below its core count.  The
+# scenarios run anywhere fork works, so single-core hosts still track the
+# modeled columns.
 
 _PROCS_NPROCS = 48
 _PROCS_QUICK_NPROCS = 8

@@ -38,6 +38,8 @@ SMOKE_DRIVERS: dict[str, tuple[str, dict]] = {
 }
 
 SMOKE_NPROCS = 4
+#: timed measurements per mode in ``overhead`` (best is kept)
+OVERHEAD_REPEATS = 5
 
 
 def _smoke_workload():
@@ -207,7 +209,7 @@ def cmd_overhead(args) -> int:
     gc.disable()
     try:
         _run_smoke()  # warm imports and allocator pools
-        for _ in range(args.repeats):
+        for _ in range(OVERHEAD_REPEATS):
             for mode in ("off", "full"):
                 best[mode] = min(best[mode], sweep(mode))
                 gc.collect()
@@ -227,7 +229,7 @@ def cmd_overhead(args) -> int:
     run = {
         "name": "telemetry_overhead",
         "workload": "fig6 smoke, 6 drivers, 4 ranks",
-        "repeats": args.repeats,
+        "repeats": OVERHEAD_REPEATS,
         "inner": args.inner,
         "trace_off_s": round(off_s, 4),
         "trace_full_s": round(full_s, 4),
@@ -268,8 +270,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("overhead", help="REPRO_TRACE off-vs-full gate")
     p.add_argument("--out", default="BENCH_telemetry.json")
-    p.add_argument("--repeats", type=int, default=5,
-                   help="timed measurements per mode (best is kept)")
     p.add_argument("--inner", type=int, default=6,
                    help="smoke sweeps per timed measurement")
     p.add_argument("--max-overhead", type=float, default=0.10)

@@ -13,8 +13,7 @@ trajectory can be populated by any of them without per-emitter parsing::
     }
 
 ``runs`` records are suite-specific but must be JSON objects; the ``env``
-block is the machine fingerprint wall-clock numbers are only comparable
-within (see :func:`env_fingerprint` and DESIGN.md §10).
+block records the host that produced the artifact.
 """
 
 from __future__ import annotations
@@ -35,16 +34,6 @@ def bench_env() -> dict:
         "machine": platform.machine(),
         "cpus": os.cpu_count() or 1,
     }
-
-
-def env_fingerprint(env: dict | None) -> tuple:
-    """The comparability key of an ``env`` block: wall-clock deltas are
-    only gate-worthy between runs with equal fingerprints."""
-    env = env or {}
-    return tuple(
-        env.get(k) for k in
-        ("python", "implementation", "platform", "machine", "cpus")
-    )
 
 
 def bench_doc(bench: str, runs: list[dict], *,

@@ -10,6 +10,7 @@ exercised through the same code path the CI job runs.
 """
 
 import json
+import os
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.perf import (
     DEFAULT_BASELINE_PATH,
     MODELED_GATE_FRAC,
     Measurement,
-    WallStats,
+    Scenario,
     all_scenarios,
     attribute_families,
     baseline_from_runs,
@@ -35,7 +36,6 @@ from repro.telemetry.bench import (
     BENCH_SCHEMA,
     bench_doc,
     bench_env,
-    env_fingerprint,
     load_bench,
     validate_bench,
     write_bench,
@@ -104,8 +104,8 @@ def test_meta_scenarios_declare_wider_tolerance():
 def test_deterministic_scenarios_reproduce_exactly(name):
     s = get(name)
     assert s.deterministic
-    a = measure_scenario(s, repeats=1)
-    b = measure_scenario(s, repeats=1)
+    a = measure_scenario(s)
+    b = measure_scenario(s)
     assert a.modeled_ns == b.modeled_ns
     assert a.families == b.families
     assert a.modeled_ns > 0
@@ -113,23 +113,13 @@ def test_deterministic_scenarios_reproduce_exactly(name):
 
 
 def test_measurement_run_record_round_trips():
-    m = measure_scenario(get("pmdk.tx_commit"), repeats=2)
+    m = measure_scenario(get("pmdk.tx_commit"))
     rec = m.as_run()
     back = Measurement.from_run(json.loads(json.dumps(rec)))
     assert back.modeled_ns == m.modeled_ns
     assert back.families == m.families
-    assert back.wall.samples == m.wall.samples
-    assert len(m.wall.samples) == 2
     # tx scenario exercises the pmdk transaction spans
     assert "pmdk.tx" in m.families
-
-
-def test_wall_stats_summary():
-    w = WallStats.from_samples([0.30, 0.10, 0.20, 0.40])
-    assert w.best_s == 0.10
-    assert w.median_s == 0.25
-    assert w.iqr_s == pytest.approx(0.15)  # inclusive q3-q1: 0.325-0.175
-    assert WallStats.from_samples([]).median_s == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +148,7 @@ def test_attribute_families_ranks_by_delta_and_shares_sum_to_one():
 
 
 def _run_record(name="mem.memcpy_persist", modeled=1_000_000.0,
-                families=None, wall=0.05, tol=None, group="mem"):
+                families=None, tol=None, group="mem"):
     rec = {
         "scenario": name,
         "group": group,
@@ -167,7 +157,6 @@ def _run_record(name="mem.memcpy_persist", modeled=1_000_000.0,
         "families": families or {"memcpy": modeled * 0.6,
                                  "store.persist": modeled * 0.4},
         "latency": {},
-        "wall": WallStats.from_samples([wall, wall * 1.02]).as_dict(),
     }
     if tol is not None:
         rec["modeled_tolerance_frac"] = tol
@@ -177,7 +166,7 @@ def _run_record(name="mem.memcpy_persist", modeled=1_000_000.0,
 def test_compare_passes_on_identical_runs():
     runs = [_run_record()]
     baseline = baseline_from_runs(runs)
-    rep = compare_runs(baseline, runs, cur_env=bench_env())
+    rep = compare_runs(baseline, runs)
     assert rep.ok
     assert rep.verdicts[0].status == "ok"
     assert not rep.missing
@@ -189,7 +178,7 @@ def test_compare_flags_modeled_regression_with_attribution():
         modeled=1_060_000.0,
         families={"memcpy": 600_000.0, "store.persist": 460_000.0},
     )]
-    rep = compare_runs(baseline_from_runs(base), slow, cur_env=bench_env())
+    rep = compare_runs(baseline_from_runs(base), slow)
     assert not rep.ok
     v = rep.regressions[0]
     assert v.status == "modeled-regression"
@@ -204,41 +193,19 @@ def test_compare_flags_modeled_regression_with_attribution():
 def test_compare_reports_improvement_not_failure():
     base = [_run_record(modeled=1_000_000.0)]
     fast = [_run_record(modeled=900_000.0)]
-    rep = compare_runs(baseline_from_runs(base), fast, cur_env=bench_env())
+    rep = compare_runs(baseline_from_runs(base), fast)
     assert rep.ok
     assert rep.verdicts[0].status == "improved"
 
 
-def test_scenario_tolerance_widens_the_modeled_gate():
+def test_scenario_tolerance_widens_the_gate():
     base = [_run_record(tol=0.03)]
     wobbly = [_run_record(modeled=1_020_000.0, tol=0.03)]  # +2%
-    rep = compare_runs(baseline_from_runs(base), wobbly, cur_env=bench_env())
+    rep = compare_runs(baseline_from_runs(base), wobbly)
     assert rep.ok, "within the declared 3% tolerance"
     bad = [_run_record(modeled=1_050_000.0, tol=0.03)]     # +5%
-    rep = compare_runs(baseline_from_runs(base), bad, cur_env=bench_env())
+    rep = compare_runs(baseline_from_runs(base), bad)
     assert not rep.ok
-
-
-def test_wall_gate_arms_only_on_matching_env():
-    base = [_run_record(wall=0.050)]
-    # modeled identical, wall 3x the baseline median
-    slow_wall = [_run_record(wall=0.150)]
-    baseline = baseline_from_runs(base)
-
-    rep = compare_runs(baseline, slow_wall, cur_env=bench_env())
-    assert rep.wall_gated and not rep.ok
-    assert rep.regressions[0].status == "wall-regression"
-
-    other_env = dict(bench_env(), machine="riscv128")
-    assert env_fingerprint(other_env) != env_fingerprint(bench_env())
-    rep = compare_runs(baseline, slow_wall, cur_env=other_env)
-    assert not rep.wall_gated and rep.ok, "env differs: wall is advisory"
-
-    rep = compare_runs(baseline, slow_wall, cur_env=other_env,
-                       wall_gate="on")
-    assert not rep.ok, "--wall-gate on forces the gate"
-    with pytest.raises(ValueError, match="auto|on|off"):
-        compare_runs(baseline, slow_wall, wall_gate="sometimes")
 
 
 def test_compare_tracks_new_and_missing_scenarios():
@@ -248,7 +215,6 @@ def test_compare_tracks_new_and_missing_scenarios():
     rep = compare_runs(
         baseline,
         [_run_record(), _run_record(name="fig6.X.8p", group="fig6")],
-        cur_env=bench_env(),
     )
     assert rep.ok  # new/missing are informational, not failures
     assert {v.status for v in rep.verdicts} == {"ok", "new"}
@@ -294,7 +260,7 @@ def test_bench_schema_validation(tmp_path):
     back = load_bench(path)
     assert back["bench"] == "perf_scenarios"
     assert back["runs"][0]["scenario"] == "mem.memcpy_persist"
-    assert env_fingerprint(back["env"]) == env_fingerprint(bench_env())
+    assert back["env"] == bench_env()
 
     bad = dict(doc, schema="other/9", runs="nope")
     errs = validate_bench(bad)
@@ -306,12 +272,15 @@ def test_bench_schema_validation(tmp_path):
 
 def test_committed_baseline_matches_registry():
     """The checked-in baseline must cover exactly the current registry, so
-    compare never reports spurious new/missing scenarios."""
+    compare never reports spurious new/missing scenarios.  It holds modeled
+    figures only: no host fingerprint, no wall columns."""
     doc = load_baseline(DEFAULT_BASELINE_PATH)
     assert set(doc["scenarios"]) == {s.name for s in all_scenarios()}
+    assert "env" not in doc
     for name, entry in doc["scenarios"].items():
         assert entry["modeled_ns"] > 0, name
         assert entry["families"], name
+        assert "wall" not in entry, name
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +292,7 @@ def test_cli_run_compare_update_baseline_cycle(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     bench = str(tmp_path / "BENCH_PERF.json")
     base = str(tmp_path / "results" / "perf_baseline.json")
-    args = ["--scenario", "pmdk.tx_commit", "--repeats", "1"]
+    args = ["--scenario", "pmdk.tx_commit"]
 
     assert perf_main(["run", "--out", bench] + args) == 0
     # no baseline yet -> exit 2 with a pointer at update-baseline
@@ -381,7 +350,7 @@ def test_pre_v3_baselines_are_rejected(tmp_path):
 def test_compare_refuses_engine_mismatch():
     baseline = baseline_from_runs([_run_record()])  # engine: threads
     cur = [dict(_run_record(), engine="procs")]
-    rep = compare_runs(baseline, cur, cur_env=bench_env())
+    rep = compare_runs(baseline, cur)
     assert not rep.ok
     v = rep.regressions[0]
     assert v.status == "engine-mismatch"
@@ -399,3 +368,67 @@ def test_procs_twins_match_engines():
             assert s.name.endswith(f".{s.engine}"), s.name
         else:
             assert s.engine == "threads", s.name
+
+
+# ---------------------------------------------------------------------------
+# perf speedup: the one command that keeps a host clock
+# ---------------------------------------------------------------------------
+
+
+def _stub_twins(clock, calls, costs):
+    """A fake ``procs.*`` registry: each run logs its name in ``calls`` and
+    advances ``clock`` by its engine's cost in seconds."""
+
+    def runner(name, cost):
+        def run():
+            calls.append(name)
+            clock[0] += cost
+            return {}
+
+        return run
+
+    return [
+        Scenario(f"{stem}.{eng}", "procs", True, False,
+                 runner(f"{stem}.{eng}", cost), engine=eng)
+        for stem, per_engine in costs.items()
+        for eng, cost in per_engine.items()
+    ]
+
+
+def test_speedup_below_min_cores_is_not_measurable(monkeypatch, capsys):
+    import repro.perf.__main__ as cli
+
+    calls = []
+    twins = _stub_twins([0.0], calls,
+                        {"procs.a": {"threads": 5.0, "procs": 1.0}})
+    monkeypatch.setattr(cli, "all_scenarios", lambda: twins)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert perf_main(["speedup"]) == 0
+    assert "not measurable" in capsys.readouterr().out
+    assert calls == []
+
+
+def test_speedup_gates_the_median_ratio(monkeypatch, capsys):
+    import repro.perf.__main__ as cli
+
+    clock, calls = [0.0], []
+    twins = _stub_twins(clock, calls, {
+        "procs.fast": {"threads": 5.0, "procs": 1.0},
+        "procs.slow": {"threads": 2.0, "procs": 1.0},
+    })
+    monkeypatch.setattr(cli, "all_scenarios", lambda: twins)
+    monkeypatch.setattr(cli, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    assert perf_main(["speedup"]) == 1
+    out = capsys.readouterr().out
+    assert "procs.fast: threads 5.000s / procs 1.000s = 5.00x (ok)" in out
+    assert ("procs.slow: threads 2.000s / procs 1.000s = 2.00x "
+            "(below the 4x gate)") in out
+    # the engines alternate, SPEEDUP_RUNS runs each
+    assert calls[:2 * cli.SPEEDUP_RUNS] == \
+        ["procs.fast.threads", "procs.fast.procs"] * cli.SPEEDUP_RUNS
+    assert len(calls) == 4 * cli.SPEEDUP_RUNS
+
+    monkeypatch.setattr(cli, "all_scenarios", lambda: twins[:2])
+    assert perf_main(["speedup"]) == 0, "the 5x pair alone passes"
