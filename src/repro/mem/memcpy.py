@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sim.trace import Delay, Transfer
+from ..sim.trace import Rows
 from ..telemetry import metrics_for, record
 from .device import PMEMDevice
 
@@ -46,51 +46,29 @@ def charge_pmem_read(ctx, model_bytes: float, note: str = "") -> None:
 
 
 def charge_pmem_read_rows(
-    ctx, model_bytes: list[float], note: str = "", lead=()
-) -> tuple[list[float], list[float]]:
-    """:func:`charge_pmem_read` once per entry of ``model_bytes`` (each
-    > 0), in order, recorded in one pass — the same ops and access-size
-    samples as the one-by-one calls.  Only the host work is
-    batched: a row's ``Delay``/``Transfer`` pair stays its own two ops
-    (alternating ops under contention are not equivalent to their totals).
+    ctx, model_bytes: np.ndarray, note: str = "", lead=()
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`charge_pmem_read` once per entry of the float64 column
+    ``model_bytes`` (each > 0), in order — recorded as one
+    :class:`~repro.sim.trace.Rows` entry that stands for the same ops, and
+    the same access-size samples.  Only the storage is columnar: a row's
+    ``Delay``/``Transfer`` pair stays its own two ops (alternating ops
+    under contention are not equivalent to their totals).
 
     ``lead`` holds per-row delay columns ``(note, ns_per_row)`` charged
     ahead of a row's read where ``ns > 0`` — the faults its first touch
     takes (``DaxMapping.touch_rows``).  Returns the ``ctx.lb_ns`` clocks
     ``(starts, ends)`` bracketing each row's read charge, lead delays
     excluded: what a span around the one-by-one call would have seen."""
-    if not model_bytes:
-        return [], []
-    if min(model_bytes) <= 0:
-        raise ValueError("charge_pmem_read_rows: every row must move bytes")
+    if not len(model_bytes):
+        return model_bytes, model_bytes
     spec = ctx.machine.pmem
-    phase = ctx.current_phase
-    read_delay = Delay(spec.read_latency_ns + _COPY_SETUP_NS, phase, note)
-    # equal ops are one frozen instance
-    delays: dict[tuple[str, float], Delay] = {}
-    transfers: dict[float, Transfer] = {}
-    ops: list = []
-    start_at, end_at = [], []
-    for i, mb in enumerate(model_bytes):
-        for lead_note, ns_per_row in lead:
-            ns = ns_per_row[i]
-            if ns > 0:
-                op = delays.get((lead_note, ns))
-                if op is None:
-                    op = delays[lead_note, ns] = Delay(ns, phase, lead_note)
-                ops.append(op)
-        start_at.append(len(ops))
-        ops.append(read_delay)
-        op = transfers.get(mb)
-        if op is None:
-            op = transfers[mb] = Transfer(
-                "pmem_read", mb, spec.stream_read_bw, phase, note)
-        ops.append(op)
-        end_at.append(len(ops))
-    clock = ctx.append_ops(ops)
+    starts, ends = ctx.append_rows(Rows(
+        ctx.current_phase, spec.read_latency_ns + _COPY_SETUP_NS, "pmem_read",
+        spec.stream_read_bw, note, model_bytes, tuple(lead)))
     metrics_for(ctx).histogram("access.pmem_read.bytes").observe_many(
         model_bytes)
-    return [clock[k] for k in start_at], [clock[k] for k in end_at]
+    return starts, ends
 
 
 def charge_dram_copy(ctx, model_bytes: float, note: str = "") -> None:

@@ -250,9 +250,10 @@ class PmemSource(Source):
         """Row segments straight off the mapped device (see
         :meth:`Source.read_rows`): every row is checked and the view taken
         before anything is charged, the region accounts the faults of all
-        rows in one call, and each row then records exactly what its
-        ``read_at(..., payload=True)`` would — fault delays, read charge,
-        counters, access-size sample and ``memcpy`` span."""
+        rows in one call, and the rows then record what their
+        ``read_at(..., payload=True)`` calls would — fault delays, read
+        charges, access-size samples and ``memcpy`` spans — stored as one
+        trace entry and one span batch of columns."""
         ctx = self.ctx
         if offset < 0 or n < 0 or offset + n > self.size:
             raise SerializationError(
@@ -268,13 +269,11 @@ class PmemSource(Source):
         out = self.region.view(self.base + offset, n)
         lead = touch_rows(
             self.region, ctx, row_off + (self.base + offset), row_len)
-        sizes = row_len.tolist()
         starts, ends = charge_pmem_read_rows(
-            ctx, [ctx.model_bytes(size) for size in sizes],
-            note="pmem-deserialize", lead=lead,
+            ctx, row_len * ctx.model_bytes(1), note="pmem-deserialize",
+            lead=lead,
         )
-        tracer_for(ctx).leaves(
-            ctx, "memcpy", starts, ends, [{"bytes": size} for size in sizes])
+        tracer_for(ctx).leaves(ctx, "memcpy", starts, ends, row_len)
         return out
 
 

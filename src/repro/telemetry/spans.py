@@ -32,8 +32,11 @@ even when the full trees are later discarded.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
+
+import numpy as np
 
 TRACE_ENV = "REPRO_TRACE"
 TRACE_MODES = ("off", "sampled", "full")
@@ -105,6 +108,41 @@ class Span:
                 f"{self.status})")
 
 
+class LeafBatch:
+    """``len(starts)`` childless ``name`` spans of one rank, in columns.
+
+    Span ``i`` has id ``first_id + i``, the given parent, the interval
+    ``[starts[i], ends[i]]``, attrs ``{"bytes": nbytes[i]}`` and status
+    "ok".  :meth:`spans` builds those objects; until the trace's spans are
+    read, the batch stands in their place."""
+
+    __slots__ = ("name", "parent_id", "rank", "first_id", "starts", "ends",
+                 "nbytes")
+
+    def __init__(self, name: str, parent_id: int | None, rank: int,
+                 first_id: int, starts: np.ndarray, ends: np.ndarray,
+                 nbytes: np.ndarray):
+        self.name = name
+        self.parent_id = parent_id
+        self.rank = rank
+        self.first_id = first_id
+        self.starts = starts
+        self.ends = ends
+        self.nbytes = nbytes
+
+    def spans(self) -> list[Span]:
+        out = []
+        for span_id, start, end, nbytes in zip(
+            itertools.count(self.first_id), self.starts.tolist(),
+            self.ends.tolist(), self.nbytes.tolist(),
+        ):
+            s = Span(span_id, self.parent_id, self.name, self.rank, start,
+                     {"bytes": nbytes})
+            s.end_ns = end
+            out.append(s)
+        return out
+
+
 class Tracer:
     """Per-rank span recorder (attached lazily to the rank's trace)."""
 
@@ -149,7 +187,7 @@ class Tracer:
             return
         span.end_ns = ctx.lb_ns
         span.status = status
-        self.trace.spans.append(span)
+        self.trace.span_entries.append(span)
         # latency distribution survives even without the tree
         h = self._hists.get(span.name) or self._hist(ctx, span.name)
         h.observe(span.end_ns - span.start_ns)
@@ -161,14 +199,15 @@ class Tracer:
         h = self._hists[name] = metrics_for(ctx).histogram(f"span.{name}.ns")
         return h
 
-    def leaves(self, ctx, name: str, starts: list[float], ends: list[float],
-               attrs: list[dict | None]) -> None:
+    def leaves(self, ctx, name: str, starts: np.ndarray, ends: np.ndarray,
+               nbytes: np.ndarray) -> None:
         """Record ``len(starts)`` childless spans that opened and closed
-        one after the other at the given clocks — what a ``begin``/``end``
-        pair per span records, sampling rules included, in one pass."""
-        if self.mode == "off":
+        one after the other at the given clocks, span ``i`` with attrs
+        ``{"bytes": nbytes[i]}`` — what a ``begin``/``end`` pair per span
+        records, sampling rules and span ids included — as one
+        :class:`LeafBatch` entry of the rank's trace."""
+        if self.mode == "off" or not len(starts):
             return
-        keep = range(len(starts))
         parent = None
         if self.stack:
             if self.stack[-1] is _SUPPRESSED:
@@ -177,17 +216,20 @@ class Tracer:
         elif self.mode == "sampled":
             seen = self._roots_seen
             self._roots_seen += len(starts)
-            keep = [i for i in keep if (seen + i) % SAMPLE_EVERY == 0]
-        spans = []
-        for i in keep:
-            s = Span(next(_span_ids), parent, name, self.rank, starts[i],
-                     attrs[i])
-            s.end_ns = ends[i]
-            spans.append(s)
-        if spans:
-            self.trace.spans.extend(spans)
-            h = self._hists.get(name) or self._hist(ctx, name)
-            h.observe_many([s.end_ns - s.start_ns for s in spans])
+            keep = np.arange(-seen % SAMPLE_EVERY, len(starts), SAMPLE_EVERY)
+            if not len(keep):
+                return
+            starts, ends, nbytes = starts[keep], ends[keep], nbytes[keep]
+        n = len(starts)
+        # one C-level pass over the counter: the block of ids is consecutive
+        # even while other rank threads mint ids
+        last = collections.deque(itertools.islice(_span_ids, n), maxlen=1)[0]
+        trace = self.trace
+        trace.span_entries.append(LeafBatch(
+            name, parent, self.rank, last - n + 1, starts, ends, nbytes))
+        trace.span_batches += 1
+        h = self._hists.get(name) or self._hist(ctx, name)
+        h.observe_many(ends - starts)
 
     @property
     def depth(self) -> int:

@@ -1,5 +1,6 @@
 """Tests for the SPMD functional-pass engine."""
 
+import numpy as np
 import pytest
 
 from repro.config import DEFAULT_MACHINE
@@ -7,7 +8,7 @@ from repro.errors import RankFailedError
 from repro.sim import run_spmd
 from repro.sim.procengine import procs_available
 from repro.sim.resources import Resource, ResourceSet
-from repro.sim.trace import Barrier, Delay, Transfer
+from repro.sim.trace import Barrier, Delay, Rows, Transfer
 
 
 class TestRunSpmd:
@@ -69,10 +70,21 @@ class TestContext:
 
     @pytest.mark.parametrize("tail", ["none", "delay", "transfer",
                                       "other-note", "other-phase"])
-    @pytest.mark.parametrize("first", ["delay", "transfer"])
-    def test_append_ops_equals_one_by_one(self, tail, first):
-        """The bulk append leaves the trace and the lb clock exactly where
-        delay()/transfer() calls leave them, first-op merge included."""
+    @pytest.mark.parametrize("after", ["delay", "transfer"])
+    def test_append_ops_equals_one_by_one(self, tail, after):
+        """``append_rows`` leaves the trace and the lb clock exactly where
+        the delay()/transfer() calls of its expansion leave them: the
+        merge rule applies at the head (``tail``, the op before the batch)
+        and at the end (``after``, the op after it: a transfer merges into
+        the batch's last one, a delay never does)."""
+        n = 40
+        model_bytes = np.array([0.1, 0.2] * (n // 2))
+        fault = np.zeros(n)
+        fault[[3, 4, 17, n - 1]] = [0.05, 1.5, 0.05, 2.0]
+        commit = np.zeros(n)
+        commit[[4, 9]] = 0.25
+        lead = (("fault", fault), ("commit", commit))
+
         def fn(ctx, bulk):
             with ctx.phase("p"):
                 if tail == "delay":
@@ -80,50 +92,47 @@ class TestContext:
                 elif tail == "transfer":
                     ctx.transfer("pmem_read", 0.7, 3.0, note="n")
                 elif tail == "other-note":
-                    ctx.delay(0.1, note="m") if first == "delay" else \
-                        ctx.transfer("pmem_read", 0.7, 3.0, note="m")
+                    ctx.delay(0.1, note="m")
                 elif tail == "other-phase":
                     with ctx.phase("setup"):
-                        ctx.delay(0.1, note="n") if first == "delay" else \
-                            ctx.transfer("pmem_read", 0.7, 3.0, note="n")
-                steps = [("d", 0.3), ("t", 0.1), ("d", 0.3), ("t", 0.2)] * 40
-                if first == "transfer":
-                    steps = steps[1:]
+                        ctx.delay(0.1, note="n")
                 if not bulk:
-                    clock = [ctx.lb_ns]
-                    for kind, x in steps:
-                        if kind == "d":
-                            ctx.delay(x, note="n")
-                        else:
-                            ctx.transfer("pmem_read", x, 3.0, note="n")
-                        clock.append(ctx.lb_ns)
+                    starts, ends = [], []
+                    for i in range(n):
+                        for note, ns in lead:
+                            ctx.delay(float(ns[i]), note=note)
+                        starts.append(ctx.lb_ns)
+                        ctx.delay(0.3, note="n")
+                        ctx.transfer("pmem_read", float(model_bytes[i]), 3.0,
+                                     note="n")
+                        ends.append(ctx.lb_ns)
                 else:
-                    # equal ops are one shared (frozen) instance
-                    made = {}
-                    ops = [
-                        made.setdefault(
-                            (kind, x),
-                            Delay(x, "p", "n") if kind == "d"
-                            else Transfer("pmem_read", x, 3.0, "p", "n"))
-                        for kind, x in steps
-                    ]
-                    clock = ctx.append_ops(ops)
-                    assert ctx.append_ops([]) == [ctx.lb_ns]
-            return clock, ctx.lb_ns
+                    starts, ends = ctx.append_rows(Rows(
+                        "p", 0.3, "pmem_read", 3.0, "n", model_bytes, lead))
+                    starts, ends = starts.tolist(), ends.tolist()
+                    assert sum(type(e) is Rows
+                               for e in ctx.trace.entries) == 1
+                if after == "delay":
+                    ctx.delay(0.5, note="n")
+                else:
+                    ctx.transfer("pmem_read", 0.7, 3.0, note="n")
+            return starts, ends, ctx.lb_ns
 
         one = run_spmd(1, lambda ctx: fn(ctx, False))
         many = run_spmd(1, lambda ctx: fn(ctx, True))
         assert many.returns == one.returns
         assert many.traces[0].ops == one.traces[0].ops
+        assert many.time().breakdown == one.time().breakdown
         assert many.makespan_ns == one.makespan_ns
-        merged = tail == first
-        assert len(one.traces[0].ops) == (
-            (tail != "none") + 160 - (first == "transfer") - merged)
+        merged = (tail == "delay") + (after == "transfer")
+        assert len(one.traces[0].ops) == len(many.traces[0].ops) == (
+            (tail != "none") + 2 * n + 6 + 1 - merged)
 
     def test_append_ops_rejects_a_stale_phase(self):
         def fn(ctx):
             with pytest.raises(ValueError):
-                ctx.append_ops([Delay(1.0, "elsewhere", "")])
+                ctx.append_rows(Rows("elsewhere", 0.3, "pmem_read", 3.0, "",
+                                     np.ones(4)))
             return ctx.lb_ns
 
         res = run_spmd(1, fn)
@@ -132,10 +141,12 @@ class TestContext:
     @pytest.mark.skipif(not procs_available(),
                         reason="procs engine needs os.fork")
     def test_append_ops_shared_instances_survive_the_procs_pickle(self):
+        """A Rows entry (a view into a larger clock or column) comes back
+        from a forked rank standing for the same ops."""
         def fn(ctx):
-            d, t = Delay(0.3, "", "n"), Transfer("pmem_read", 0.1, 3.0, "", "n")
             ctx.transfer("cpu", 1.0, 1.0)
-            ctx.append_ops([d, t] * 100)
+            ctx.append_rows(Rows("", 0.3, "pmem_read", 3.0, "n",
+                                 np.full(200, 0.1)[::2]))
 
         fresh = [Transfer("cpu", 1.0, 1.0)]
         for _ in range(100):
@@ -144,6 +155,9 @@ class TestContext:
         for engine in ("threads", "procs"):
             res = run_spmd(1, fn, engine=engine)
             assert res.traces[0].ops == fresh
+            assert len(res.traces[0].ops) == len(fresh)
+            assert [type(e) for e in res.traces[0].entries] == (
+                [Transfer, Delay, Transfer, Rows, Delay, Transfer])
 
     def test_barrier_records_matching_ids(self):
         def fn(ctx):
