@@ -1,6 +1,7 @@
 """Tests for the max-min fluid replay simulator."""
 
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from repro.sim.trace import (
     Delay,
     RankTrace,
     Release,
+    Rows,
     Transfer,
 )
 
@@ -416,3 +418,135 @@ class TestSingleRankClosedForm:
             sim.run([trace], record_causal=record_causal)
         assert type(fast.value) is type(ref.value)
         assert str(fast.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# a Rows entry replays as the ops it stands for
+# ---------------------------------------------------------------------------
+
+class SpySimulator(FluidSimulator):
+    """Counts how :meth:`_replay_rows` ends: in closed form or declined
+    (the entry then replays op by op)."""
+
+    def __init__(self, resources):
+        super().__init__(resources)
+        self.closed = self.declined = 0
+
+    def _replay_rows(self, *args):
+        after = super()._replay_rows(*args)
+        if after is None:
+            self.declined += 1
+        else:
+            self.closed += 1
+        return after
+
+
+@st.composite
+def rows_entries(draw, phases, huge):
+    n = draw(st.integers(1, 12))
+    name = draw(st.sampled_from(STANDARD.names()))
+    capacity = STANDARD[name].capacity(1)
+    positive = st.one_of(st.sampled_from([5e-10, _EPS, 3e-9, 1.0, 4096.0]),
+                         st.floats(min_value=1e-3, max_value=1e10))
+    # with the clock at 1e20 these read delays vanish into its rounding
+    read_ns = draw(st.sampled_from([1.0, 137.25]) if huge else positive)
+    lead = tuple(
+        (note, np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.sampled_from([5e-10, 2e-9, 250.0]),
+                      st.floats(min_value=0.0, max_value=1e6)),
+            min_size=n, max_size=n))))
+        for note in draw(st.lists(st.sampled_from(["page-fault", "commit"]),
+                                  max_size=2, unique=True)))
+    return Rows(
+        draw(phases), read_ns, name,
+        draw(st.sampled_from([0.3 * capacity, capacity, capacity + 5e-10,
+                              7.0 * capacity])),
+        "pmem-deserialize",
+        np.array(draw(st.lists(positive, min_size=n, max_size=n))), lead)
+
+
+@st.composite
+def traces_with_rows(draw, rank=0):
+    """Scalar delays/transfers mixed with Rows entries; ``huge`` puts the
+    clock at 1e20 first, where ``now + ns == now`` for a small delay."""
+    phases = st.sampled_from(["", "read", "meta"])
+    huge = draw(st.booleans())
+    entries = [Delay(1e20)] if huge else []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["rows", "rows", "delay", "xfer"]))
+        if kind == "rows":
+            entries.append(draw(rows_entries(phases, huge)))
+        elif kind == "delay":
+            entries.append(Delay(draw(st.floats(0.0, 1e6)),
+                                 phase=draw(phases)))
+        else:
+            entries.append(Transfer("pmem_read", draw(st.floats(0.0, 1e9)),
+                                    draw(st.floats(0.5, 20.0)),
+                                    phase=draw(phases)))
+    return RankTrace(rank, entries), huge
+
+
+def expanded(trace):
+    return RankTrace(trace.rank, list(trace.ops))
+
+
+def assert_same_result(got, want):
+    assert got.finish_ns == want.finish_ns
+    assert list(got.breakdown.items()) == list(want.breakdown.items())
+    if want.causal is None:
+        assert got.causal is None
+        return
+    assert got.causal.segments == want.causal.segments
+    assert list(got.causal.locks.items()) == list(want.causal.locks.items())
+
+
+class TestRowsEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(traces_with_rows())
+    def test_replays_as_its_ops(self, drawn):
+        trace, huge = drawn
+        flat = expanded(trace)
+        assert len(trace.ops) == len(flat.ops)
+        for record_causal in (False, True):
+            spy = SpySimulator(STANDARD)
+            want = spy._run_single(flat, record_causal)
+            assert spy.closed == spy.declined == 0
+            got = spy._run_single(trace, record_causal)
+            if want is None:
+                assert got is None
+            else:
+                assert_same_result(got, want)
+            if huge and any(type(e) is Rows for e in trace.entries):
+                assert spy.declined        # the check saw the rounding
+            assert_same_result(
+                spy._run_events([trace], record_causal),
+                spy._run_events([flat], record_causal))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_several_ranks_replay_as_their_ops(self, data):
+        traces = [data.draw(traces_with_rows(rank))[0]
+                  for rank in range(data.draw(st.integers(2, 4)))]
+        sim = FluidSimulator(STANDARD)
+        for record_causal in (False, True):
+            assert_same_result(
+                sim.run(traces, record_causal=record_causal),
+                sim.run([expanded(t) for t in traces],
+                        record_causal=record_causal))
+
+    def test_a_row_batch_replays_in_closed_form(self):
+        """The partial-read shape — faults on a few rows, equal row sizes —
+        takes the closed form, never the op-by-op walk."""
+        fault = np.zeros(1024)
+        fault[::97] = 180.0
+        trace = RankTrace(0, [
+            Transfer("cpu", 1e6, 1.0),
+            Rows("read", 140.0, "pmem_read", 3.1, "pmem-deserialize",
+                 np.full(1024, 2048.0), (("map-sync-commit", fault),)),
+            Delay(10.0)])
+        for record_causal in (False, True):
+            spy = SpySimulator(STANDARD)
+            got = spy.run([trace], record_causal=record_causal)
+            assert (spy.closed, spy.declined) == (1, 0)
+            assert_same_result(
+                got, spy._run_single(expanded(trace), record_causal))
