@@ -253,6 +253,11 @@ def _procs_fig_run(nprocs: int, engine: str) -> Callable[[], dict]:
 # - ``1pct``   — a dense 9^3 corner block, ~1.1% of the 40^3 domain;
 # - ``plane``  — a single k-plane (worst-case row fragmentation);
 # - ``points`` — 64 scattered elements (bounding box ~ whole domain).
+#
+# The paper's pMEMCPY series serialize with bp4 and read whole chunks; the
+# ``partial.<kind>.<series>.raw`` twins store raw chunks, so their reads
+# take the ranged row path (``PmemSource.read_rows``, one ``Rows`` trace
+# entry per chunk) on every rank.
 
 _PARTIAL_NPROCS = 8
 _PARTIAL_CHUNK = (10, 10, 10)
@@ -273,7 +278,8 @@ def _partial_selection(kind: str):
     raise ValueError(f"unknown partial kind {kind!r}")
 
 
-def _partial_run(library: str, kind: str) -> Callable[[], dict]:
+def _partial_run(library: str, kind: str,
+                 serializer: str | None = None) -> Callable[[], dict]:
     def job() -> dict:
         from ..baselines import get_driver
         from ..cluster import Cluster
@@ -286,6 +292,8 @@ def _partial_run(library: str, kind: str) -> Callable[[], dict]:
         driver_name, driver_kw = PAPER_LIBRARIES[library]
         if driver_name == "pmemcpy":
             driver_kw = {**driver_kw, "chunk_shape": _PARTIAL_CHUNK}
+        if serializer is not None:
+            driver_kw = {**driver_kw, "serializer": serializer}
         cl = Cluster(
             scale=workload.scale,
             pmem_capacity=max(64 * MiB, 8 * workload.functional_total_bytes),
@@ -522,6 +530,12 @@ def _populate() -> None:
                 f"partial.{kind}.{library}", "partial",
                 kind == "1pct", False,
                 _partial_run(library, kind),
+            ))
+    for library in ("PMCPY-A", "PMCPY-B"):
+        for kind in ("plane", "points"):
+            _register(Scenario(
+                f"partial.{kind}.{library}.raw", "partial", False, False,
+                _partial_run(library, kind, serializer="raw"),
             ))
     _register(Scenario("service.rpc_store", "service", True, True,
                        _service_rpc_store))
