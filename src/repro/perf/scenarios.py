@@ -16,7 +16,9 @@ Scenario classes (ISSUE 5):
   CI-sized while modeled numbers keep the paper's shape;
 - ``pmdk.*`` — allocator-churn and transaction-commit micros;
 - ``meta.*`` — striped vs. single-lane metadata locking under 8 ranks;
-- ``mem.*`` — the single-rank memcpy/persist hot path.
+- ``mem.*`` — the single-rank memcpy/persist hot path;
+- ``kv.*`` — single-rank overwrite/load/delete of small variables through
+  the scalar pool path, with MAP_SYNC off and on.
 
 ``deterministic`` marks scenarios whose modeled_ns reproduces *exactly*
 across runs (single-rank jobs).  Multi-rank fig sweeps carry
@@ -44,7 +46,7 @@ FIG_PROCS = (8, 24, 48)
 #: the --quick budget keeps only the 8-proc cells
 QUICK_FIG_PROCS = (8,)
 
-GROUPS = ("fig6", "fig7", "pmdk", "meta", "mem", "procs", "partial",
+GROUPS = ("fig6", "fig7", "pmdk", "meta", "mem", "kv", "procs", "partial",
           "service")
 
 
@@ -395,6 +397,60 @@ def _mem_hot_path() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# small-variable key-value ops (the scalar pool path)
+# ---------------------------------------------------------------------------
+#
+# 64 x 4 KiB variables on one rank with PMEM() defaults (hashtable, bp4),
+# MAP_SYNC off (``kv.<op>``) and on (``kv.<op>.sync``): a first run stores
+# them, the measured run maps the pool again and overwrites, loads or
+# deletes every one.  Each op is a handful of transactions of 8-byte pool
+# accesses through ``DaxMapping.write/read/persist``, so these scenarios
+# gate the model of the per-access fault and MAP_SYNC commit accounting.
+
+_KV_NVARS = 64
+_KV_NELEM = 512
+
+
+def _kv_run(op: str, map_sync: bool) -> Callable[[], dict]:
+    def job() -> dict:
+        from .. import Cluster, Communicator, PMEM
+
+        cl = Cluster(pmem_capacity=64 * MiB)
+        data = np.arange(_KV_NVARS * _KV_NELEM, dtype=np.float64).reshape(
+            _KV_NVARS, _KV_NELEM)
+        path = "/pmem/perf_kv"
+
+        def session(body):
+            def fn(ctx):
+                pmem = PMEM(map_sync=map_sync)
+                pmem.mmap(path, Communicator.world(ctx))
+                body(pmem)
+                pmem.munmap()
+
+            return cl.run(1, fn)
+
+        def store_all(pmem, scale=1.0):
+            for k in range(_KV_NVARS):
+                pmem.store(f"v{k}", data[k] * scale)
+
+        def load_all(pmem):
+            for k in range(_KV_NVARS):
+                if not np.array_equal(pmem.load(f"v{k}"), data[k]):
+                    raise AssertionError(f"kv.load: v{k} read back wrong")
+
+        def delete_all(pmem):
+            for k in range(_KV_NVARS):
+                pmem.delete(f"v{k}")
+
+        session(store_all)
+        body = {"overwrite": lambda pmem: store_all(pmem, 2.0),
+                "load": load_all, "delete": delete_all}[op]
+        return record_from_spmd(session(body))
+
+    return job
+
+
+# ---------------------------------------------------------------------------
 # service RPC hot paths
 # ---------------------------------------------------------------------------
 #
@@ -510,6 +566,12 @@ def _populate() -> None:
                        _meta_run(1, False), modeled_tolerance_frac=0.03))
     _register(Scenario("mem.memcpy_persist", "mem", True, True,
                        _mem_hot_path))
+    for op in ("overwrite", "load", "delete"):
+        for map_sync in (False, True):
+            _register(Scenario(
+                f"kv.{op}.sync" if map_sync else f"kv.{op}", "kv", True,
+                True, _kv_run(op, map_sync),
+            ))
     for nprocs in (_PROCS_QUICK_NPROCS, _PROCS_NPROCS):
         for eng in ("threads", "procs"):
             _register(Scenario(
