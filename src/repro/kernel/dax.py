@@ -54,8 +54,10 @@ from ..errors import (
     NotEmptyError,
 )
 from ..mem.device import PMEMDevice
+from ..mem.memcpy import _COPY_SETUP_NS, charge_pmem_read, charge_pmem_write
+from ..telemetry import metrics_for
 from ..units import CACHELINE
-from .syscall import page_fault
+from .syscall import page_fault, syscall
 
 
 class MapFlags(IntFlag):
@@ -235,8 +237,6 @@ class DaxFS:
     def _charge_meta(self, ctx, note: str) -> None:
         """An async-journaled metadata update: a small unscaled PMEM write."""
         if ctx is not None:
-            from ..mem.memcpy import charge_pmem_write
-
             charge_pmem_write(ctx, 512.0, note=note)
         self._notify_meta()
 
@@ -503,8 +503,6 @@ class DaxFS:
     ) -> int:
         """POSIX-style write: in-kernel copy user→PMEM at slightly reduced
         per-stream efficiency, via the extent map."""
-        from ..mem.memcpy import _COPY_SETUP_NS  # shared setup constant
-
         buf = PMEMDevice._as_bytes(data)
         size = int(buf.size)
         if size == 0:
@@ -526,8 +524,6 @@ class DaxFS:
         self, ctx, inode: Inode, offset: int, size: int, *, model_bytes: float | None = None
     ) -> np.ndarray:
         """POSIX-style read: in-kernel copy PMEM→user."""
-        from ..mem.memcpy import _COPY_SETUP_NS
-
         size = min(size, max(inode.size - offset, 0))
         out = np.empty(size, dtype=np.uint8)
         pos = 0
@@ -544,8 +540,6 @@ class DaxFS:
     # ------------------------------------------------------------------ mmap
 
     def mmap(self, ctx, inode: Inode, flags: MapFlags = MapFlags.SHARED) -> "DaxMapping":
-        from .syscall import syscall
-
         syscall(ctx, note="mmap")
         self._charge_meta(ctx, "mmap")
         real_page = max(CACHELINE, ctx.machine.kernel.dax_page_bytes // ctx.scale)
@@ -557,12 +551,19 @@ class DaxFS:
 class DaxMapping:
     """A per-rank DAX mapping of one file: direct, zero-copy access with
     per-page fault accounting (see module docstring for the MAP_SYNC
-    model)."""
+    model).
+
+    A range inside the inode's leading extent — all of a contiguously
+    fallocated pool file — resolves to one device offset (:meth:`_window`),
+    so a scalar access is one bounds check, one device operation and its
+    charge.  Every other range takes the per-extent walk of
+    :meth:`DaxFS.file_ranges`."""
 
     def __init__(self, fs: DaxFS, inode: Inode, flags: MapFlags, *, real_page: int, nprocs: int):
         self.fs = fs
         self.inode = inode
         self.flags = flags
+        self._sync = bool(flags & MapFlags.SYNC)
         self.nprocs = nprocs
         #: one functional page corresponds to one model DAX page
         self._real_page = real_page
@@ -575,16 +576,45 @@ class DaxMapping:
         #: :meth:`touch_rows`, so a batch of rows is checked in numpy
         self._page_bits: np.ndarray | None = None
         self._line_bits: np.ndarray | None = None
+        #: id ranges ``(lo, hi)`` of pages / read lines every id of which
+        #: the first-touch state above holds: a repeat access is answered
+        #: by one lookup.  Exact because that state only ever grows.
+        self._held_pages: set[tuple[int, int]] = set()
+        self._held_lines: set[tuple[int, int]] = set()
+        #: device pages this mapping has seen MAP_SYNC-committed (see
+        #: :meth:`_sync_commit`)
+        self._committed: set[int] = set()
         self.closed = False
 
-    # -- fault accounting -------------------------------------------------------
+    # -- address resolution -----------------------------------------------------
 
-    def _check_range(self, offset: int, size: int) -> None:
+    def _window(self, offset: int, size: int) -> int | None:
+        """The device offset of ``[offset, offset + size)`` when the range
+        lies in the inode's leading extent, else None: the range spans
+        extents (a chunk file grown by ``_extend``) or leaves the leading
+        one, or the metadata is shared across processes, where only
+        ``file_ranges`` refreshes a stale generation first.  The extents
+        are read on every call, so no answer can go stale."""
+        extents = self.inode.extents
+        if (not extents or offset < 0 or size < 0
+                or isinstance(self.fs.lock, _SharedMetaLock)):
+            return None
+        lead = extents[0]
+        bs = self.fs.block_size
+        start = lead.file_block * bs
+        if offset < start or offset + size > start + lead.nblocks * bs:
+            return None
+        return lead.dev_block * bs + (offset - start)
+
+    def _check_range(self, offset: int, size: int) -> int | None:
         """SIGBUS model: touching pages beyond the file's allocated extents
         faults *before* any charge.  Validated up front so a garbage size
         read out of corrupted pool metadata (e.g. a torn undo-log entry
         during recovery probing) cannot enumerate billions of model pages
-        in the fault accounting."""
+        in the fault accounting.  Returns the range's :meth:`_window`."""
+        dev = self._window(offset, size)
+        if dev is not None:
+            return dev
         if offset < 0 or size < 0:
             raise BadAddressError(
                 f"bad mapping range [{offset}, +{size})"
@@ -597,27 +627,68 @@ class DaxMapping:
                 f"mapping access [{offset}, {offset + size}) beyond "
                 f"allocated {allocated} bytes (SIGBUS)"
             )
+        return None
+
+    # -- fault accounting -------------------------------------------------------
 
     def _fault_pages(self, offset: int, size: int) -> int:
-        p0 = offset // self._real_page
-        p1 = -(-(offset + size) // self._real_page)
+        page = self._real_page
+        ids = (offset // page, -(-(offset + size) // page))
+        if ids in self._held_pages:
+            return 0
+        p0, p1 = ids
         if self._touched is None:
             self._page_bits, nnew = _mark(self._page_bits, p0, p1)
-            return nnew
-        new = [p for p in range(p0, p1) if p not in self._touched]
-        self._touched.update(new)
-        return len(new)
+        else:
+            new = [p for p in range(p0, p1) if p not in self._touched]
+            self._touched.update(new)
+            nnew = len(new)
+        _hold(self._held_pages, ids)
+        return nnew
+
+    def _fault_lines(self, offset: int, size: int) -> int:
+        ids = (offset // 64, -(-(offset + size) // 64))
+        if ids in self._held_lines:
+            return 0
+        l0, l1 = ids
+        if self._touched_lines is None:
+            self._line_bits, nnew = _mark(self._line_bits, l0, l1)
+        else:
+            before = len(self._touched_lines)
+            self._touched_lines.update(range(l0, l1))
+            nnew = len(self._touched_lines) - before
+        _hold(self._held_lines, ids)
+        return nnew
+
+    def _sync_commit(self, dev: int, size: int) -> float:
+        """``device.sync_commit`` of the device range ``[dev, dev + size)``,
+        a single page answered from :attr:`_committed` once seen.  Exact:
+        ``PMEMDevice._sync_lines`` only ever goes 0 -> 1 (``sync_commit`` is
+        its one writer, ``share_into`` copies it), so a page committed when
+        this mapping last looked is committed still, whichever mapping,
+        rank or process committed it."""
+        page = self._real_page
+        p = dev // page
+        if (dev + size - 1) // page != p:
+            return self.fs.device.sync_commit(dev, size, page)
+        if p in self._committed:
+            return 0.0
+        ncommit = self.fs.device.sync_commit(dev, size, page)
+        _hold(self._committed, p)
+        return ncommit
 
     def _charge_faults(
-        self, ctx, offset: int, size: int, *, allocating: bool = False
+        self, ctx, offset: int, size: int, *, allocating: bool = False,
+        dev: int | None = None,
     ) -> None:
+        """Charge the faults an access to ``[offset, offset + size)`` takes;
+        ``dev`` is the range's :meth:`_window`, if it has one."""
         if size <= 0:
             return
         nfaults = self._fault_pages(offset, size)
-        k = ctx.machine.kernel
         if nfaults > 0:
             page_fault(ctx, nfaults)
-        if not (self.flags & MapFlags.SYNC):
+        if not self._sync:
             return
         if allocating:
             # Write faults: the *first writer device-wide* pays the
@@ -631,13 +702,16 @@ class DaxMapping:
             # hardware — so high-rank-count makespans carry a few percent
             # of attribution jitter (the procs.* 48p scenarios declare a
             # widened modeled_tolerance_frac for this; DESIGN.md §11).
-            ncommit = 0.0
-            for dev_off, length in self.fs.file_ranges(
-                self.inode, offset, size
-            ):
-                ncommit += self.fs.device.sync_commit(
-                    dev_off, length, self._real_page
-                )
+            if dev is not None:
+                ncommit = self._sync_commit(dev, size)
+            else:
+                ncommit = 0.0
+                for dev_off, length in self.fs.file_ranges(
+                    self.inode, offset, size
+                ):
+                    ncommit += self.fs.device.sync_commit(
+                        dev_off, length, self._real_page
+                    )
         else:
             # Read faults: charged per *mapping* first-touch — the
             # documented modeling liberty (module docstring) that
@@ -649,15 +723,7 @@ class DaxMapping:
             # does not depend on which model pages the allocator happened
             # to pack those bytes into (page-granular counting made the
             # total vary with cross-rank allocation interleaving).
-            l0 = offset // 64
-            l1 = -(-(offset + size) // 64)
-            if self._touched_lines is None:
-                self._line_bits, nnew = _mark(self._line_bits, l0, l1)
-            else:
-                before = len(self._touched_lines)
-                self._touched_lines.update(range(l0, l1))
-                nnew = len(self._touched_lines) - before
-            ncommit = nnew * 64.0 / self._real_page
+            ncommit = self._fault_lines(offset, size) * 64.0 / self._real_page
         if ncommit <= 0:
             return
         ctx.delay(self._sync_commit_ns(ctx) * ncommit, note="map-sync-commit")
@@ -684,16 +750,25 @@ class DaxMapping:
         self._check_open()
         buf = PMEMDevice._as_bytes(data)
         size = int(buf.size)
+        if offset < 0:
+            raise BadAddressError(f"bad mapping range [{offset}, +{size})")
         if size == 0:
             return 0
-        self.fs._ensure_allocated(ctx, self.inode, offset, size)
-        self._charge_faults(ctx, offset, size, allocating=True)
-        pos = 0
-        for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
-            self.fs.device.store(dev_off, buf[pos : pos + length])
-            pos += length
-        from ..mem.memcpy import charge_pmem_write
-
+        inode = self.inode
+        dev = self._window(offset, size)
+        if dev is None:
+            self.fs._ensure_allocated(ctx, inode, offset, size)
+            self._charge_faults(ctx, offset, size, allocating=True)
+            pos = 0
+            for dev_off, length in self.fs.file_ranges(inode, offset, size):
+                self.fs.device.store(dev_off, buf[pos : pos + length])
+                pos += length
+        else:
+            # the blocks are there; only the file size may grow
+            if offset + size > inode.size:
+                self.fs._ensure_allocated(ctx, inode, offset, size)
+            self._charge_faults(ctx, offset, size, allocating=True, dev=dev)
+            self.fs.device.store(dev, buf)
         charge_pmem_write(
             ctx, float(size) if model_bytes is None else float(model_bytes),
             note="mmap-store",
@@ -703,15 +778,18 @@ class DaxMapping:
     def read(self, ctx, offset: int, size: int, *, model_bytes: float | None = None) -> np.ndarray:
         """Userspace load through the mapping (zero intermediate copies)."""
         self._check_open()
-        self._check_range(offset, size)
+        dev = self._check_range(offset, size)
         self._charge_faults(ctx, offset, size)
-        out = np.empty(size, dtype=np.uint8)
-        pos = 0
-        for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
-            out[pos : pos + length] = self.fs.device.view(dev_off, length)
-            pos += length
-        from ..mem.memcpy import charge_pmem_read
-
+        if dev is None:
+            out = np.empty(size, dtype=np.uint8)
+            pos = 0
+            for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
+                out[pos : pos + length] = self.fs.device.view(dev_off, length)
+                pos += length
+        elif size:
+            out = self.fs.device.view(dev, size).copy()
+        else:
+            out = np.empty(0, dtype=np.uint8)
         charge_pmem_read(
             ctx, float(size) if model_bytes is None else float(model_bytes),
             note="mmap-load",
@@ -766,7 +844,7 @@ class DaxMapping:
             lead.append(("page-fault",
                          ctx.machine.kernel.page_fault_ns * nfaults))
         lines = pages[:0]
-        if self.flags & MapFlags.SYNC:
+        if self._sync:
             self._line_bits, (nnew, lines) = first_touches(
                 self._line_bits, 64)
             if len(lines):
@@ -782,29 +860,45 @@ class DaxMapping:
         self._check_open()
         if size == 0:
             return np.empty(0, dtype=np.uint8)
-        ranges = self.fs.file_ranges(self.inode, offset, size)
-        if len(ranges) != 1:
-            raise InvalidArgumentError(
-                "view crosses extents; use read() or fallocate contiguously"
-            )
-        dev_off, length = ranges[0]
-        return self.fs.device.view(dev_off, length)
+        dev = self._window(offset, size)
+        if dev is None:
+            ranges = self.fs.file_ranges(self.inode, offset, size)
+            if len(ranges) != 1:
+                raise InvalidArgumentError(
+                    "view crosses extents; use read() or fallocate contiguously"
+                )
+            dev, size = ranges[0]
+        return self.fs.device.view(dev, size)
 
     def persist(self, ctx, offset: int, size: int) -> None:
         """Flush stored cachelines (CLWB loop + fence)."""
         self._check_open()
-        for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
-            self.fs.device.persist(dev_off, length)
+        if offset < 0 or size < 0:
+            raise BadAddressError(f"bad mapping range [{offset}, +{size})")
+        dev = self._window(offset, size)
+        if dev is None:
+            for dev_off, length in self.fs.file_ranges(self.inode, offset, size):
+                self.fs.device.persist(dev_off, length)
+        elif size:
+            self.fs.device.persist(dev, size)
         ctx.delay(200.0, note="persist")
-        from ..telemetry import metrics_for
-
         metrics_for(ctx).histogram("access.persist.bytes").observe(float(size))
 
     def unmap(self, ctx) -> None:
-        from .syscall import syscall
-
         syscall(ctx, note="munmap")
         self.closed = True
+
+
+#: entries a first-touch or commit memo keeps before it starts over
+_MEMO_CAP = 4096
+
+
+def _hold(memo: set, key) -> None:
+    """Add ``key`` to ``memo``, emptying it first when full: a memo holds
+    a subset of what it stands for, so forgetting only costs a lookup."""
+    if len(memo) >= _MEMO_CAP:
+        memo.clear()
+    memo.add(key)
 
 
 def _bitmap(ids: set[int]) -> np.ndarray:

@@ -39,7 +39,7 @@ from ..kernel.dax import touch_rows
 from ..shm.sync import LocalLockProvider
 from ..mem.device import PMEMDevice
 from ..mem.memcpy import charge_pmem_read, charge_pmem_write
-from ..telemetry import span
+from ..telemetry import metrics_for, span
 from .alloc import Heap
 
 POOL_MAGIC = b"PMDKPOOL"
@@ -91,8 +91,6 @@ class RawRegion:
         self._check(off, size)
         self.device.persist(self.base + off, size)
         ctx.delay(200.0, note="persist")
-        from ..telemetry import metrics_for
-
         metrics_for(ctx).histogram("access.persist.bytes").observe(float(size))
 
     def view(self, off: int, size: int) -> np.ndarray:

@@ -223,17 +223,18 @@ class Context:
         if ns <= 0:
             return
         self.lb_ns += ns
+        phase = self._phase_stack[-1]
         ops = self.trace.entries
         if ops:
             last = ops[-1]
             if (
                 isinstance(last, Delay)
-                and last.phase == self.current_phase
+                and last.phase == phase
                 and last.note == note
             ):
-                ops[-1] = Delay(ns=last.ns + ns, phase=last.phase, note=last.note)
+                ops[-1] = Delay(ns=last.ns + ns, phase=phase, note=note)
                 return
-        ops.append(Delay(ns=ns, phase=self.current_phase, note=note))
+        ops.append(Delay(ns=ns, phase=phase, note=note))
 
     def transfer(
         self, resource: str, amount: float, stream_cap: float, note: str = ""
@@ -245,12 +246,13 @@ class Context:
         if amount <= 0:
             return
         self.lb_ns += amount / stream_cap
+        phase = self._phase_stack[-1]
         ops = self.trace.entries
         if ops:
             last = ops[-1]
             if (
                 isinstance(last, Transfer)
-                and last.phase == self.current_phase
+                and last.phase == phase
                 and last.resource == resource
                 and last.stream_cap == stream_cap
                 and last.note == note
@@ -259,8 +261,8 @@ class Context:
                     resource=resource,
                     amount=last.amount + amount,
                     stream_cap=stream_cap,
-                    phase=last.phase,
-                    note=last.note,
+                    phase=phase,
+                    note=note,
                 )
                 return
         ops.append(
@@ -268,7 +270,7 @@ class Context:
                 resource=resource,
                 amount=amount,
                 stream_cap=stream_cap,
-                phase=self.current_phase,
+                phase=phase,
                 note=note,
             )
         )
