@@ -50,27 +50,6 @@ class Cluster:
         self.vfs.mount("/pmem", self.fs)
         #: open PmemPool objects by path (volatile node state)
         self.pools: dict[str, Any] = {}
-        #: shared-memory domain, created lazily by the procs engine
-        self.shm_domain = None
-
-    def ensure_shm(self):
-        """Shared-memory domain for the procs engine (lazy, idempotent).
-
-        Re-homes the device's byte space into a shared heap and swaps the
-        filesystem's metadata guard for a cross-process one, so forked rank
-        workers all operate on the same node state.  The extra heap room
-        beyond the device holds sync state, board blobs, and fs-metadata
-        snapshots.
-        """
-        if self.shm_domain is None:
-            from .shm import SharedHeap, ShmSyncDomain
-
-            cap = self.device.capacity
-            heap = SharedHeap(cap + max(64 * MiB, cap // 4))
-            self.shm_domain = ShmSyncDomain(heap)
-            self.device.share_into(heap)
-            self.fs.enable_shared_meta(self.shm_domain)
-        return self.shm_domain
 
     def run(self, nprocs: int, fn: Callable, **kw) -> SpmdResult:
         """SPMD run against this cluster."""

@@ -109,36 +109,10 @@ class CollectiveAbortedError(CommunicatorError):
 class RankFailedError(MPIError):
     """A peer rank raised; collective operations propagate this."""
 
-    def __init__(self, rank: int, original: BaseException,
-                 worker_pids: tuple[int, ...] | None = None):
+    def __init__(self, rank: int, original: BaseException):
         super().__init__(f"rank {rank} failed: {original!r}")
         self.rank = rank
         self.original = original
-        #: PIDs of the OS-process workers (procs engine only) — lets
-        #: post-mortem tooling map ranks to live/dead processes
-        self.worker_pids = worker_pids
-
-
-# -- rank engines --------------------------------------------------------------
-
-class EngineUnavailableError(ReproError):
-    """The requested rank engine cannot run on this platform/configuration
-    (no ``fork``, no shared memory, or crash-simulation requested under the
-    procs engine).  ``threads`` remains the universal default."""
-
-
-class WorkerCrashedError(ReproError):
-    """A procs-engine worker died without reporting a result (e.g. SIGKILL
-    mid-critical-section); carries the worker's pid and wait status."""
-
-    def __init__(self, rank: int, pid: int, status: int):
-        super().__init__(
-            f"rank {rank} worker (pid {pid}) died without a result "
-            f"(wait status {status})"
-        )
-        self.rank = rank
-        self.pid = pid
-        self.status = status
 
 
 class LockDisciplineError(ReproError):

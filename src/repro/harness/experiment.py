@@ -38,7 +38,6 @@ class JobResult:
     phases: dict[str, float] = field(default_factory=dict)  # seconds
     metrics: dict = field(default_factory=dict)   # MetricRegistry.as_dict()
     spans: list = field(default_factory=list)     # span dicts (trace export)
-    engine: str = "threads"  # rank engine that executed the run
     #: full repro-critpath/1 document of the run's causal replay (path
     #: steps, lock hand-offs, contention stats) — written by --critpath-out
     critpath: dict | None = None
@@ -100,7 +99,6 @@ def _job_result(library: str, nprocs: int, direction: str, res, cl) -> JobResult
         {k: v / 1e9 for k, v in timing.phase_totals().items()},
         reg.as_dict(),
         spans_to_dicts(spans_of(res.traces)),
-        engine=res.engine,
         critpath=critpath_doc(critical_path_spmd(res)),
     )
 
@@ -113,12 +111,10 @@ def run_io_experiment(
     machine: MachineSpec = DEFAULT_MACHINE,
     directions: tuple[str, ...] = ("write", "read"),
     driver_override: tuple[str, dict] | None = None,
-    engine: str | None = None,
 ) -> list[JobResult]:
     """One cell of Fig. 6/7: write the 40 GB domain with ``library`` on
     ``nprocs`` ranks, then read it back symmetrically.  Returns one
-    JobResult per direction.  ``engine`` picks the rank engine (else
-    ``REPRO_ENGINE``, else threads)."""
+    JobResult per direction."""
     workload = workload or Domain3D()
     driver_name, driver_kw = (
         driver_override if driver_override else PAPER_LIBRARIES[library]
@@ -130,7 +126,6 @@ def run_io_experiment(
     res_w = cl.run(
         nprocs,
         lambda ctx: write_job(ctx, workload, driver_name, path, driver_kw),
-        engine=engine,
     )
     if "write" in directions:
         out.append(_job_result(library, nprocs, "write", res_w, cl))
@@ -138,7 +133,6 @@ def run_io_experiment(
         res_r = cl.run(
             nprocs,
             lambda ctx: read_job(ctx, workload, driver_name, path, driver_kw),
-            engine=engine,
         )
         out.append(_job_result(library, nprocs, "read", res_r, cl))
     return out

@@ -24,7 +24,7 @@ The two sides charge at different granularities: *write* faults pay the
 journal commit once per device page globally (block-allocation durability
 belongs to the file blocks — the device tracks the committed set, so the
 aggregate charge does not depend on which rank's write reaches a shared
-page first and the threads/procs engines agree); *read* faults pay per
+page first); *read* faults pay per
 mapping first-touch, counted at cacheline granularity and scaled to page
 fractions (every fresh mapping re-faults, which is what Fig. 7 measures,
 and the charge follows the bytes actually read rather than which model
@@ -114,36 +114,6 @@ class DaxFS:
         #: optional observer called after every metadata mutation (the
         #: crash-journal hook; see repro.crash.journal)
         self._meta_watcher = None
-        #: set by every metadata mutation; a shared-meta lock publishes and
-        #: clears it on outermost release (no-op under plain threading)
-        self._meta_dirty = False
-
-    def enable_shared_meta(self, domain) -> None:
-        """Swap the metadata guard for a cross-process one (procs engine).
-
-        Inodes and the free list stay ordinary in-DRAM objects — as on a
-        real kernel — but every locked section is bracketed by a
-        refresh-from / publish-to a pickled snapshot in the shared heap, so
-        forked rank workers see one coherent filesystem.  Idempotent; one
-        filesystem per domain (the snapshot tag is fixed).
-        """
-        if isinstance(self.lock, _SharedMetaLock):
-            return
-        if self.device.crash_sim:
-            raise RuntimeError("enable_shared_meta() requires crash_sim=False")
-        self.lock = _SharedMetaLock(self, domain)
-        self._meta_dirty = True
-        with self.lock:
-            pass  # publish the pre-fork metadata as the first generation
-
-    def _meta_sync(self) -> None:
-        """Entry check for lockless read paths: when metadata is shared and
-        a peer process published a newer generation, take the lock once (the
-        outermost acquire refreshes) before walking local structures."""
-        lk = self.lock
-        if isinstance(lk, _SharedMetaLock) and lk.stale():
-            with lk:
-                pass
 
     # ------------------------------------------------------------------ blocks
 
@@ -225,7 +195,6 @@ class DaxFS:
         return parent, parts[-1]
 
     def exists(self, path: str) -> bool:
-        self._meta_sync()
         try:
             self._namei(path)
             return True
@@ -243,13 +212,10 @@ class DaxFS:
     def _notify_meta(self) -> None:
         """Tell the attached watcher (if any) that fs metadata changed.
 
-        Also marks the metadata dirty for shared-meta publication.
-
         The crash journal snapshots the metadata here, modeling a
         synchronously-journaled filesystem: every committed metadata state
         is recoverable, paired with whatever device image the store buffer
         left behind."""
-        self._meta_dirty = True
         if self._meta_watcher is not None:
             self._meta_watcher(self)
 
@@ -332,7 +298,6 @@ class DaxFS:
             return inode
 
     def lookup(self, path: str) -> Inode:
-        self._meta_sync()
         with self.lock:
             return self._namei(path)
 
@@ -457,7 +422,6 @@ class DaxFS:
         """
         if offset < 0 or size < 0:
             raise InvalidArgumentError("negative offset/size")
-        self._meta_sync()
         out: list[tuple[int, int]] = []
         remaining = size
         pos = offset
@@ -592,12 +556,10 @@ class DaxMapping:
         """The device offset of ``[offset, offset + size)`` when the range
         lies in the inode's leading extent, else None: the range spans
         extents (a chunk file grown by ``_extend``) or leaves the leading
-        one, or the metadata is shared across processes, where only
-        ``file_ranges`` refreshes a stale generation first.  The extents
-        are read on every call, so no answer can go stale."""
+        one.  The extents are read on every call, so no answer can go
+        stale."""
         extents = self.inode.extents
-        if (not extents or offset < 0 or size < 0
-                or isinstance(self.fs.lock, _SharedMetaLock)):
+        if not extents or offset < 0 or size < 0:
             return None
         lead = extents[0]
         bs = self.fs.block_size
@@ -664,9 +626,8 @@ class DaxMapping:
         """``device.sync_commit`` of the device range ``[dev, dev + size)``,
         a single page answered from :attr:`_committed` once seen.  Exact:
         ``PMEMDevice._sync_lines`` only ever goes 0 -> 1 (``sync_commit`` is
-        its one writer, ``share_into`` copies it), so a page committed when
-        this mapping last looked is committed still, whichever mapping,
-        rank or process committed it."""
+        its one writer), so a page committed when this mapping last looked
+        is committed still, whichever mapping or rank committed it."""
         page = self._real_page
         p = dev // page
         if (dev + size - 1) // page != p:
@@ -694,14 +655,14 @@ class DaxMapping:
             # Write faults: the *first writer device-wide* pays the
             # filesystem journal commit that makes a page's block
             # allocation durable — later SYNC write faults on the same
-            # page, from any mapping in any process, are minor.  The
-            # committed-page set lives on the device (in the shared heap
-            # under the procs engine), so both engines see one global
-            # set.  Which rank absorbs the commit for a *shared* metadata
-            # page is arrival-order-dependent — exactly as on real
-            # hardware — so high-rank-count makespans carry a few percent
-            # of attribution jitter (the procs.* 48p scenarios declare a
-            # widened modeled_tolerance_frac for this; DESIGN.md §11).
+            # page, from any mapping by any rank, are minor.  The
+            # committed-page set lives on the device, so every mapping
+            # sees one global set.  Which rank absorbs the commit for a
+            # *shared* metadata page is arrival-order-dependent — exactly
+            # as on real hardware — so high-rank-count makespans carry a
+            # few percent of attribution jitter (the PMCPY-B fig6 cells
+            # past 8p declare a widened modeled_tolerance_frac for this;
+            # DESIGN.md §11).
             if dev is not None:
                 ncommit = self._sync_commit(dev, size)
             else:
@@ -972,119 +933,3 @@ def touch_rows(region, ctx, offsets: np.ndarray, sizes: np.ndarray) -> tuple:
         for offset, size in zip(offsets.tolist(), sizes.tolist()):
             touch(ctx, offset, size)
     return ()
-
-
-class _SharedMetaLock:
-    """Cross-process guard for :class:`DaxFS` volatile metadata.
-
-    Replaces the filesystem's ``threading.RLock`` when rank workers are
-    forked processes.  The kernel's metadata caches (inode table, free
-    list) remain ordinary per-process objects; coherence comes from the
-    lock protocol:
-
-    - a shm mutex serializes every metadata section across processes;
-    - the *outermost* acquire refreshes local caches from the last
-      published snapshot (a pickled blob in the shared heap stamped with a
-      generation word) — inodes are merged **by ino, in place**, so live
-      references held by mappings and open handles stay valid;
-    - the outermost release publishes a new snapshot iff the section
-      dirtied metadata (``fs._meta_dirty``, set by ``_notify_meta``).
-
-    Every publisher refreshed under the same lock first, so snapshots form
-    a single linear history.  None of this is charged — on a real kernel
-    these caches are shared DRAM, and the journal-commit costs are already
-    modeled by ``_charge_meta``.
-    """
-
-    def __init__(self, fs: DaxFS, domain):
-        from ..shm.sync import ShmMutexCore
-
-        self._fs = fs
-        self._domain = domain
-        self._core = ShmMutexCore(domain, ("daxfs", "meta"), reentrant=True)
-        # gen | blob off | blob cap | blob len  (raw block: metadata
-        # outlives run epochs, like the files it describes)
-        self._blk = domain.state_block(("daxfs", "meta-blob"), 32)
-        self._local_gen = 0
-        self._depth = threading.local()
-
-    def stale(self) -> bool:
-        gen = self._blk.u64(0)
-        return gen != 0 and gen != self._local_gen
-
-    def __enter__(self):
-        self._core.acquire()
-        d = getattr(self._depth, "n", 0) + 1
-        self._depth.n = d
-        if d == 1:
-            self._refresh()
-        return self
-
-    def __exit__(self, *exc):
-        d = self._depth.n - 1
-        self._depth.n = d
-        try:
-            if d == 0 and self._fs._meta_dirty:
-                self._publish()
-                self._fs._meta_dirty = False
-        finally:
-            self._core.release()
-        return False
-
-    # -- snapshot plumbing ------------------------------------------------------
-
-    def _refresh(self) -> None:
-        import pickle
-
-        gen = self._blk.u64(0)
-        if gen == 0 or gen == self._local_gen:
-            return
-        blob = self._domain.heap.read_bytes(self._blk.u64(1), self._blk.u64(3))
-        self._install(pickle.loads(blob))
-        self._local_gen = gen
-
-    def _install(self, snap: dict) -> None:
-        fs = self._fs
-        incoming = snap["inodes"]
-        local = fs._inodes
-        for ino, node in incoming.items():
-            cur = local.get(ino)
-            if cur is None:
-                local[ino] = node
-            else:
-                cur.is_dir = node.is_dir
-                cur.size = node.size
-                cur.extents = node.extents
-                cur.children = node.children
-                cur.nlink = node.nlink
-        for ino in [i for i in local if i not in incoming]:
-            del local[ino]
-        fs._free = list(snap["free"])
-        fs._next_ino = snap["next_ino"]
-        fs.root = local[1]
-
-    def _publish(self) -> None:
-        import pickle
-
-        fs = self._fs
-        blob = pickle.dumps(
-            {
-                "inodes": fs._inodes,
-                "free": list(fs._free),
-                "next_ino": fs._next_ino,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        heap = self._domain.heap
-        off, cap = self._blk.u64(1), self._blk.u64(2)
-        if len(blob) > cap:
-            nb = heap.alloc(max(2 * len(blob), 4096), zero=False)
-            if cap:
-                heap.free(heap.block_at(off, cap))
-            off, cap = nb.off, nb.size
-            self._blk.set_u64(1, off)
-            self._blk.set_u64(2, cap)
-        heap.write_bytes(off, blob)
-        self._blk.set_u64(3, len(blob))
-        self._local_gen = self._blk.u64(0) + 1
-        self._blk.set_u64(0, self._local_gen)

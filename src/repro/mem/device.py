@@ -59,43 +59,6 @@ class PMEMDevice:
         #: property of the file blocks, not of any process's mapping)
         self._sync_lines = np.zeros(capacity // 64, dtype=np.uint8)
 
-    def share_into(self, heap) -> None:
-        """Re-home the device's byte space into a shared-memory heap so
-        forked rank workers all map the *same* pool pages.
-
-        Existing contents are preserved.  Device counters stay process-local —
-        workers ship their deltas back with their run results and the
-        parent folds them in via :meth:`merge_counters` (no locked shared
-        counter on the store hot path, so parallel memcpy stays parallel).
-        Incompatible with crash simulation (the shadow's journaling is
-        parent-process state).
-        """
-        if self.crash_sim:
-            raise RuntimeError("share_into() requires crash_sim=False")
-        if getattr(self, "shared", False):
-            return
-        block = heap.alloc(self.capacity)
-        arr = block.as_array(np.uint8, self.capacity)
-        arr[:] = self._flat
-        self._flat = arr
-        self._shm_block = block
-        sync_block = heap.alloc(self._sync_lines.size)
-        sync_arr = sync_block.as_array(np.uint8, self._sync_lines.size)
-        sync_arr[:] = self._sync_lines
-        self._sync_lines = sync_arr
-        self._sync_block = sync_block
-        self.shared = True
-
-    def merge_counters(self, delta: dict) -> None:
-        """Fold a worker's persistence-counter deltas into this device."""
-        with self.lock:
-            self.stores += int(delta.get("device_stores", 0))
-            self.store_bytes += int(delta.get("device_store_bytes", 0))
-            self.persists += int(delta.get("device_persists", 0))
-            self.persisted_lines += int(delta.get("device_persisted_lines", 0))
-            self.drains += int(delta.get("device_drains", 0))
-            self.drained_lines += int(delta.get("device_drained_lines", 0))
-
     def inject_crash_after(self, n_stores: int | None) -> None:
         """Arm (or with ``None`` disarm) a fault: the (n+1)-th subsequent
         ``store`` raises :class:`CrashInjected` without writing."""
@@ -161,9 +124,7 @@ class PMEMDevice:
 
         The first SYNC write fault to a page pays the filesystem journal
         commit that makes its block allocation durable; later faults on
-        the same page — from any mapping, in any process — are minor.
-        The flag array lives in the shared heap when the device is
-        shared, so the procs engine sees one global committed set.
+        the same page — from any mapping, by any rank — are minor.
         """
         if size <= 0:
             return 0.0

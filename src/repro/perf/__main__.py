@@ -24,12 +24,9 @@ Usage::
     # lock hand-offs, per-stripe contention, what-if estimates
     python -m repro.perf doctor SCENARIO [--json FILE] [--flame-out FILE]
 
-    # the doctor's own gate: byte-stable output, shares summing to 100%
-    # on both engines, and a 400x lock inflation correctly blamed
+    # the doctor's own gate: byte-stable output, shares summing to 100%,
+    # and a 400x lock inflation correctly blamed
     python -m repro.perf doctor --selftest
-
-    # host-clock procs-vs-threads ratio of every procs.* twin pair
-    python -m repro.perf speedup [--min-cores N] [--expect X]
 """
 
 from __future__ import annotations
@@ -37,9 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
-from time import perf_counter
 
 from ..telemetry.bench import bench_doc, load_bench, write_bench
 from ..telemetry.metrics import _fmt_quantity
@@ -52,12 +47,10 @@ from .baseline import (
 from .compare import compare_runs
 from .measure import measure_all, measure_scenario
 from .report import load_history, render_perf_report
-from .scenarios import all_scenarios, get, select
+from .scenarios import get, select
 
 DEFAULT_BENCH_PATH = "BENCH_PERF.json"
 BENCH_NAME = "perf_scenarios"
-#: timed runs per engine in each ``speedup`` twin pair
-SPEEDUP_RUNS = 3
 
 
 def _measure(args) -> list[dict]:
@@ -203,10 +196,6 @@ def _analyze_scenario(name: str) -> tuple[dict, dict, object]:
     from ..telemetry.spans import TRACE_ENV
 
     sc = get(name)
-    skip = getattr(sc, "skip", None)
-    reason = skip() if skip is not None else None
-    if reason:
-        raise RuntimeError(f"scenario {name}: {reason}")
     prev_trace = os.environ.get(TRACE_ENV)
     os.environ[TRACE_ENV] = "full"
     try:
@@ -335,7 +324,8 @@ def _doctor_selftest(args) -> int:
     1. byte-identical critpath JSON across two runs of a deterministic
        scenario;
     2. per-family critical-path shares summing to 100% ± 0.1% of the
-       end-to-end modeled time, on both rank engines;
+       end-to-end modeled time, on a single-rank, a lock-bound, a service
+       and a multi-rank fig6 scenario;
     3. a ``--factor``x LOCK_OVERHEAD_NS inflation blamed on ``meta.lock``
        as the top critical-path delta;
     4. a baseline-vs-self diff reporting exactly zero culprits.
@@ -358,13 +348,7 @@ def _doctor_selftest(args) -> int:
 
     print("[doctor-selftest] 2/4 shares sum to 100% of modeled time")
     names = ["mem.memcpy_persist", "meta.lock_single",
-             "service.rpc_store", "procs.fig6_write.8p.threads"]
-    procs_twin = get("procs.fig6_write.8p.procs")
-    if procs_twin.skip is None or procs_twin.skip() is None:
-        names.append(procs_twin.name)
-    else:
-        print(f"[doctor-selftest]   SKIP {procs_twin.name}: "
-              f"{procs_twin.skip()}")
+             "service.rpc_store", "fig6.PMCPY-B.8p"]
     baseline_docs: dict[str, dict] = {}
     for name in names:
         doc, rec, _res = _analyze_scenario(name)
@@ -427,55 +411,6 @@ def _doctor_selftest(args) -> int:
     return 0
 
 
-def _twin_pairs() -> dict[str, dict]:
-    """``{stem: {"threads": Scenario, "procs": Scenario}}`` for every
-    complete ``procs.*`` twin pair in the registry."""
-    pairs: dict[str, dict] = {}
-    for s in all_scenarios():
-        if s.group == "procs":
-            stem, _, eng = s.name.rpartition(".")
-            pairs.setdefault(stem, {})[eng] = s
-    return {stem: pair for stem, pair in sorted(pairs.items())
-            if set(pair) == {"threads", "procs"}}
-
-
-def cmd_speedup(args) -> int:
-    """Gate the procs-vs-threads host-clock ratio of the ``procs.*`` pairs.
-
-    Host parallelism is what this command observes, so it keeps its own
-    clock: each pair's threads and procs runs alternate, ``SPEEDUP_RUNS``
-    each, and the medians are compared.  Below ``--min-cores`` there is
-    no parallelism to observe, so nothing runs and the verdict is "not
-    measurable" (exit 0), never a pass."""
-    ncpu = os.cpu_count() or 1
-    if ncpu < args.min_cores:
-        print(f"[speedup] not measurable: host has {ncpu} core(s); the "
-              f"procs-vs-threads comparison needs >= {args.min_cores} "
-              f"(--min-cores)")
-        return 0
-    ok = True
-    for stem, pair in _twin_pairs().items():
-        reason = pair["procs"].skip and pair["procs"].skip()
-        if reason:
-            print(f"[speedup] {stem}: not measurable: {reason}")
-            continue
-        samples: dict[str, list[float]] = {"threads": [], "procs": []}
-        for _ in range(SPEEDUP_RUNS):
-            for eng, times in samples.items():
-                t0 = perf_counter()
-                pair[eng].run()
-                times.append(perf_counter() - t0)
-        t = statistics.median(samples["threads"])
-        p = statistics.median(samples["procs"])
-        ratio = t / p
-        good = ratio >= args.expect
-        ok = ok and good
-        print(f"[speedup] {stem}: threads {t:.3f}s / procs {p:.3f}s "
-              f"= {ratio:.2f}x "
-              f"({'ok' if good else f'below the {args.expect:g}x gate'})")
-    return 0 if ok else 1
-
-
 def _add_measure_args(p, *, out: bool) -> None:
     p.add_argument("--quick", action="store_true",
                    help="small CI budget: quick scenarios only")
@@ -519,15 +454,6 @@ def main(argv=None) -> int:
     p.add_argument("--history", action="append", metavar="GLOB",
                    help="prior BENCH files (glob, repeatable)")
     p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("speedup",
-                       help="time the procs.* twin pairs and gate the "
-                            "procs-vs-threads ratio")
-    p.add_argument("--min-cores", type=int, default=2,
-                   help="fewer cores: not measurable, run nothing (exit 0)")
-    p.add_argument("--expect", type=float, default=4.0,
-                   help="minimum threads/procs wall ratio")
-    p.set_defaults(fn=cmd_speedup)
 
     p = sub.add_parser("selftest",
                        help="synthetic slowdown must fail with meta.lock top")

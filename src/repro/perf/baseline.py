@@ -34,7 +34,6 @@ def baseline_from_runs(runs: list[dict]) -> dict:
         entry = {
             "group": m.group,
             "deterministic": m.deterministic,
-            "engine": m.engine,
             "modeled_ns": m.modeled_ns,
             "families": dict(m.families),
             "latency": dict(m.latency),

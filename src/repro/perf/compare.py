@@ -23,7 +23,7 @@ from .measure import Measurement
 MODELED_GATE_FRAC = 0.01
 
 #: verdict statuses that fail the gate
-FAILING = ("modeled-regression", "engine-mismatch")
+FAILING = ("modeled-regression",)
 
 
 @dataclass
@@ -73,10 +73,8 @@ def attribute_families(base: dict, cur: dict,
 @dataclass
 class ScenarioVerdict:
     scenario: str
-    # ok | improved | modeled-regression | engine-mismatch | new
+    # ok | improved | modeled-regression | new
     status: str
-    base_engine: str = "threads"
-    cur_engine: str = "threads"
     base_modeled_ns: float = 0.0
     cur_modeled_ns: float = 0.0
     modeled_delta_frac: float = 0.0
@@ -95,8 +93,6 @@ class ScenarioVerdict:
         d = {
             "scenario": self.scenario,
             "status": self.status,
-            "base_engine": self.base_engine,
-            "cur_engine": self.cur_engine,
             "base_modeled_ns": self.base_modeled_ns,
             "cur_modeled_ns": self.cur_modeled_ns,
             "modeled_delta_frac": round(self.modeled_delta_frac, 6),
@@ -178,12 +174,6 @@ class CompareReport:
                 f"modeled {_fmt_quantity(v.cur_modeled_ns, 'ns'):<18} "
                 f"({v.modeled_delta_frac * +100:+.2f}% vs baseline)"
             )
-            if v.status == "engine-mismatch":
-                lines.append(
-                    f"      baseline engine {v.base_engine!r} vs run engine "
-                    f"{v.cur_engine!r} — re-measure or refresh the baseline "
-                    f"under the matching engine"
-                )
             if v.failed and v.attribution:
                 lines.append("      slowdown attribution "
                              "(exclusive-time delta by span family):")
@@ -229,20 +219,7 @@ def compare_runs(baseline_doc: dict, runs: list[dict]) -> CompareReport:
         base = base_scenarios.get(m.scenario)
         if base is None:
             verdicts.append(ScenarioVerdict(
-                m.scenario, "new", cur_engine=m.engine,
-                cur_modeled_ns=m.modeled_ns,
-            ))
-            continue
-        base_engine = str(base.get("engine", "threads"))
-        if m.engine != base_engine:
-            # apples-to-oranges: a run measured under one rank engine must
-            # never silently pass (or fail) against the other engine's
-            # figures — the baseline needs a refresh instead
-            verdicts.append(ScenarioVerdict(
-                m.scenario, "engine-mismatch",
-                base_engine=base_engine, cur_engine=m.engine,
-                base_modeled_ns=float(base["modeled_ns"]),
-                cur_modeled_ns=m.modeled_ns,
+                m.scenario, "new", cur_modeled_ns=m.modeled_ns,
             ))
             continue
         base_ns = float(base["modeled_ns"])
@@ -279,7 +256,6 @@ def compare_runs(baseline_doc: dict, runs: list[dict]) -> CompareReport:
             )
         verdicts.append(ScenarioVerdict(
             m.scenario, status,
-            base_engine=base_engine, cur_engine=m.engine,
             base_modeled_ns=base_ns,
             cur_modeled_ns=m.modeled_ns,
             modeled_delta_frac=delta_frac,

@@ -28,7 +28,6 @@ class Measurement:
     families: dict
     latency: dict
     modeled_tolerance_frac: float | None = None
-    engine: str = "threads"
     #: compact critical-path summary ({"total_ns", "families", "source"})
     #: from the scenario's causal replay; absent on legacy records
     critpath: dict | None = None
@@ -38,7 +37,6 @@ class Measurement:
             "scenario": self.scenario,
             "group": self.group,
             "deterministic": self.deterministic,
-            "engine": self.engine,
             "modeled_ns": self.modeled_ns,
             "families": dict(self.families),
             "latency": dict(self.latency),
@@ -60,7 +58,6 @@ class Measurement:
             families={k: float(v) for k, v in d.get("families", {}).items()},
             latency=d.get("latency", {}),
             modeled_tolerance_frac=float(tol) if tol is not None else None,
-            engine=d.get("engine", "threads"),
             critpath=d.get("critpath"),
         )
 
@@ -84,19 +81,13 @@ def measure_scenario(scenario: Scenario) -> Measurement:
         families={k: float(v) for k, v in record["families"].items()},
         latency=record.get("latency", {}),
         modeled_tolerance_frac=scenario.modeled_tolerance_frac,
-        engine=getattr(scenario, "engine", "threads"),
         critpath=record.get("critpath"),
     )
 
 
-def measure_all(scenarios, progress=None, skip_log=print) -> list[Measurement]:
+def measure_all(scenarios, progress=None) -> list[Measurement]:
     out = []
     for s in scenarios:
-        skip = getattr(s, "skip", None)
-        reason = skip() if skip is not None else None
-        if reason:
-            skip_log(f"[perf] SKIP {s.name}: {reason}")
-            continue
         m = measure_scenario(s)
         if progress is not None:
             progress(m)

@@ -46,8 +46,7 @@ FIG_PROCS = (8, 24, 48)
 #: the --quick budget keeps only the 8-proc cells
 QUICK_FIG_PROCS = (8,)
 
-GROUPS = ("fig6", "fig7", "pmdk", "meta", "mem", "kv", "procs", "partial",
-          "service")
+GROUPS = ("fig6", "fig7", "pmdk", "meta", "mem", "kv", "partial", "service")
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,6 @@ class Scenario:
     #: jitter widen their own gate beyond the global ±1% (compare takes
     #: the max); None = the global gate applies
     modeled_tolerance_frac: float | None = None
-    #: rank engine the scenario executes under (baseline column; compare
-    #: refuses to gate a run against a different engine's figures)
-    engine: str = "threads"
-    #: returns a human-readable reason to skip on this host, or None;
-    #: measure_all and ``perf speedup`` log the reason and omit it
-    skip: Callable[[], str | None] | None = None
 
 
 _REGISTRY: dict[str, Scenario] = {}
@@ -201,43 +194,6 @@ def _pmdk_tx_commit() -> dict:
                 tx.write(off, blob)
 
     return _pool_run(body)
-
-
-# ---------------------------------------------------------------------------
-# procs-engine scenarios (threads/procs twin pairs)
-# ---------------------------------------------------------------------------
-#
-# Each twin pair runs the *same* fig6-style PMCPY-B write under each rank
-# engine; modeled_ns must agree within the standard gate.  The speedup the
-# procs engine buys on a multi-core host is a host-clock figure, so the
-# observatory never records it: ``python -m repro.perf speedup`` times the
-# pairs itself and reports "not measurable" below its core count.  The
-# scenarios run anywhere fork works, so single-core hosts still track the
-# modeled columns.
-
-_PROCS_NPROCS = 48
-_PROCS_QUICK_NPROCS = 8
-
-
-def _procs_skip() -> str | None:
-    from ..sim.procengine import procs_available
-
-    if not procs_available():
-        return "procs engine unavailable on this platform (no os.fork)"
-    return None
-
-
-def _procs_fig_run(nprocs: int, engine: str) -> Callable[[], dict]:
-    def job() -> dict:
-        from ..harness.experiment import run_io_experiment
-
-        r = run_io_experiment(
-            "PMCPY-B", nprocs, perf_workload(),
-            directions=("write",), engine=engine,
-        )[0]
-        return r.perf_record()
-
-    return job
 
 
 # ---------------------------------------------------------------------------
@@ -571,20 +527,6 @@ def _populate() -> None:
             _register(Scenario(
                 f"kv.{op}.sync" if map_sync else f"kv.{op}", "kv", True,
                 True, _kv_run(op, map_sync),
-            ))
-    for nprocs in (_PROCS_QUICK_NPROCS, _PROCS_NPROCS):
-        for eng in ("threads", "procs"):
-            _register(Scenario(
-                f"procs.fig6_write.{nprocs}p.{eng}", "procs",
-                nprocs == _PROCS_QUICK_NPROCS, False,
-                _procs_fig_run(nprocs, eng),
-                # 48p twin carries the same commit-attribution jitter as
-                # fig6.PMCPY-B.48p; the 8p pair agrees to ~0.03% and
-                # keeps the global gate
-                modeled_tolerance_frac=(
-                    0.06 if nprocs == _PROCS_NPROCS else None
-                ),
-                engine=eng, skip=_procs_skip,
             ))
     for library in PAPER_LIBRARIES:
         for kind in ("1pct", "plane", "points"):

@@ -48,35 +48,6 @@ def _align(n: int) -> int:
     return -(-n // ALIGN) * ALIGN
 
 
-class _SharedHeapGuard:
-    """Cross-process replacement for the heap's RLock: entry refreshes the
-    volatile maps if another process mutated the heap; exit bumps the shared
-    generation (conservatively — guarded sections are almost always
-    mutations, and a spurious peer re-walk is cheap and uncharged)."""
-
-    __slots__ = ("_heap", "_core", "_genblk")
-
-    def __init__(self, heap, core, genblk):
-        self._heap = heap
-        self._core = core
-        self._genblk = genblk
-
-    def __enter__(self):
-        self._core.acquire()
-        gen = self._genblk.u64(0)
-        if gen != self._heap._gen:
-            self._heap._rebuild_from_view()
-            self._heap._gen = gen
-        return self
-
-    def __exit__(self, *exc):
-        gen = self._genblk.u64(0) + 1
-        self._genblk.set_u64(0, gen)
-        self._heap._gen = gen
-        self._core.release()
-        return False
-
-
 class Heap:
     """Allocator over ``[heap_off, heap_off + heap_size)`` of a pool."""
 
@@ -89,49 +60,6 @@ class Heap:
         self._free: dict[int, int] = {}      # block off -> total size
         self._free_sorted: list[int] = []    # offsets, ascending
         self._used: dict[int, int] = {}      # block off -> total size
-        self._gen = -1                       # shared mode: last synced gen
-
-    # ------------------------------------------------------------------ shared mode
-
-    def enable_shared(self, provider) -> None:
-        """Swap the in-process heap lock for a cross-process guard.
-
-        The volatile free/used maps stay per-process *caches* of the durable
-        boundary tags; a generation word in shared memory is bumped on every
-        guarded section, and a process entering the guard with a stale local
-        generation re-walks the device tags — through uncharged ``view``
-        reads, so modeled time is identical to the thread engine, where the
-        maps are simply shared objects.
-        """
-        core = provider.mutex_core(("heap", self.heap_off), reentrant=True)
-        genblk = provider.state_block(("heap-gen", self.heap_off), 16)
-        self._gen = -1
-        self.lock = _SharedHeapGuard(self, core, genblk)
-
-    def _rebuild_from_view(self) -> None:
-        """Re-derive the volatile maps from the on-device boundary tags
-        (uncharged: peers' volatile state was never paid for under threads
-        either — the durable tags are the only truth)."""
-        self._free.clear()
-        self._free_sorted = []
-        self._used.clear()
-        pos = self.heap_off
-        while pos < self.heap_end:
-            raw = bytes(self.pool.view(pos, HEADER_SIZE))
-            size, status, magic, _pad = _HDR.unpack(raw)
-            if magic != BLOCK_MAGIC or size < ALIGN or size % ALIGN or \
-               pos + size > self.heap_end:
-                raise PoolCorruptError(
-                    f"heap corrupt at {pos}: size={size} status={status:#x} "
-                    f"magic={magic:#x}"
-                )
-            if status == STATUS_FREE:
-                self._insert_free(pos, size)
-            elif status == STATUS_USED:
-                self._used[pos] = size
-            else:
-                raise PoolCorruptError(f"heap corrupt at {pos}: bad status")
-            pos += size
 
     # ------------------------------------------------------------------ format/rebuild
 
@@ -218,11 +146,11 @@ class Heap:
     def _lane_spans(self, nprocs: int) -> list[tuple[int, int]]:
         """Arithmetic partition of the heap into per-rank lanes.
 
-        Every process computes the same spans from ``(heap_size, nprocs)``
-        alone — no shared allocator state — so concurrent ranks get
-        engine-independent block *addresses* no matter how the thread and
-        process engines interleave their mallocs (libpmemobj stripes
-        per-thread arenas for the same reason, there for lock contention).
+        Every rank computes the same spans from ``(heap_size, nprocs)``
+        alone — no shared allocator state — so concurrent ranks get the
+        same block *addresses* in whatever order their mallocs arrive
+        (libpmemobj stripes per-thread arenas for the same reason, there
+        for lock contention).
         Lane 0 starts at ``heap_off``; each later lane starts one fence
         block (:data:`ALIGN` bytes) past its boundary — see
         :meth:`format`.  Degenerate partitions collapse to one span.

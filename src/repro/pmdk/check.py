@@ -25,7 +25,6 @@ Returns a :class:`CheckReport`; ``ok`` is True when no problems were found.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -77,31 +76,6 @@ class CheckReport:
             lines.append(f"{len(self.problems)} problem(s):")
             lines.extend(f"  - {p}" for p in self.problems)
         return "\n".join(lines)
-
-
-def live_ranks_from_pids(pids) -> set[int]:
-    """Map procs-engine worker pids to the set of still-live ranks.
-
-    ``pids`` is rank-indexed (``SpmdResult.worker_pids`` or
-    ``RankFailedError.worker_pids``).  Liveness is a signal-0 probe: a
-    pid that no longer exists is a dead worker, so any nonzero owner
-    word naming its rank is stale — feed the result straight into
-    ``check_pool(live_ranks=...)``.  A zero/missing pid counts as dead;
-    ``PermissionError`` means the pid exists (just not ours to signal),
-    which still counts as live.
-    """
-    live: set[int] = set()
-    for rank, pid in enumerate(pids):
-        if not pid:
-            continue
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            continue
-        except PermissionError:
-            pass
-        live.add(rank)
-    return live
 
 
 def check_pool(

@@ -20,8 +20,7 @@ from __future__ import annotations
 import struct
 
 from ..errors import PmdkError
-from ..shm.sync import CoreLock
-from .locks import LOCK_OVERHEAD_NS, fnv1a64
+from .locks import LOCK_OVERHEAD_NS, CoreLock, fnv1a64
 from .tx import Transaction
 
 __all__ = ["PmemHashmap", "fnv1a64"]
@@ -40,10 +39,8 @@ class PmemHashmap:
     def __init__(self, pool, hdr_off: int):
         self.pool = pool
         self.hdr_off = hdr_off
-        # arbitration comes from the pool's lock provider, keyed by the
-        # table's offset: in-process under threads, cross-process when the
-        # pool is attached to a shared domain — the charged map-lock delay
-        # and every chain read are identical either way
+        # arbitration comes from the pool's core registry, keyed by the
+        # table's offset, so every rank's handle to this table shares it
         self._lock = CoreLock(
             pool.locks.mutex_core(("hashmap", hdr_off), reentrant=True)
         )

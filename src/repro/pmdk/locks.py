@@ -35,12 +35,165 @@ on independent lock lanes.
 
 from __future__ import annotations
 
+import threading
+
 from ..errors import PmdkError
-from ..shm.sync import _ThreadRWCore as _RWCore  # noqa: F401 - re-export
 from ..telemetry import metrics_for
 
 #: modeled cost of an uncontended persistent-lock acquire/release pair
 LOCK_OVERHEAD_NS = 60.0
+
+
+# -- volatile lock cores -------------------------------------------------------
+#
+# The lock classes below keep their persistent owner words for recovery
+# only; runtime arbitration is delegated to an in-process core.  A pool's
+# CoreRegistry hands out one core per lock identity (pool offset), so every
+# handle to the same lock — each rank's PmemMutex, PmemRWLock or hashmap
+# built over that offset — arbitrates on the same core.
+
+
+class _ThreadMutexCore:
+    """In-process mutex core; ``acquire`` returns the contended flag."""
+
+    __slots__ = ("_lock", "_holder", "_depth", "reentrant")
+
+    def __init__(self, *, reentrant: bool = False):
+        self._lock = threading.Lock()
+        self._holder = None
+        self._depth = 0
+        self.reentrant = reentrant
+
+    def acquire(self) -> bool:
+        me = threading.current_thread()
+        if self._holder is me:
+            if self.reentrant:
+                self._depth += 1
+                return False
+            raise PmdkError(
+                "non-reentrant lock acquired again by its holder"
+            )
+        contended = not self._lock.acquire(blocking=False)
+        if contended:
+            self._lock.acquire()
+        self._holder = me
+        self._depth = 1
+        return contended
+
+    def release(self) -> None:
+        if self._holder is not threading.current_thread():
+            raise PmdkError("releasing a mutex this thread holds not")
+        self._depth -= 1
+        if self._depth == 0:
+            self._holder = None
+            self._lock.release()
+
+
+class _ThreadRWCore:
+    """Volatile reader-writer arbitration: writer-preferring, non-reentrant.
+
+    ``acquire_*`` return True when the caller had to contend (someone held
+    or was queued for the lock in an incompatible mode at entry) — the
+    signal behind the ``meta.lock.contended`` telemetry counter.
+    """
+
+    __slots__ = ("_cond", "_readers", "_writer", "_waiting_writers")
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._readers: set = set()
+        self._writer = None
+        self._waiting_writers = 0
+
+    def _check_reentry(self, me) -> None:
+        if me is self._writer or me in self._readers:
+            raise PmdkError(
+                "non-reentrant lock acquired again by its holding thread"
+            )
+
+    def acquire_read(self) -> bool:
+        me = threading.current_thread()
+        with self._cond:
+            self._check_reentry(me)
+            contended = self._writer is not None or self._waiting_writers > 0
+            while self._writer is not None or self._waiting_writers > 0:
+                self._cond.wait()
+            self._readers.add(me)
+            return contended
+
+    def acquire_write(self) -> bool:
+        me = threading.current_thread()
+        with self._cond:
+            self._check_reentry(me)
+            contended = self._writer is not None or bool(self._readers)
+            self._waiting_writers += 1
+            try:
+                while self._writer is not None or self._readers:
+                    self._cond.wait()
+            finally:
+                self._waiting_writers -= 1
+            self._writer = me
+            return contended
+
+    def release_read(self) -> None:
+        me = threading.current_thread()
+        with self._cond:
+            if me not in self._readers:
+                raise PmdkError("releasing a read lock this thread holds not")
+            self._readers.discard(me)
+            self._cond.notify_all()
+
+    def release_write(self) -> None:
+        me = threading.current_thread()
+        with self._cond:
+            if me is not self._writer:
+                raise PmdkError("releasing a write lock this thread holds not")
+            self._writer = None
+            self._cond.notify_all()
+
+
+class CoreLock:
+    """Context-manager adapter turning a mutex core into a drop-in
+    replacement for ``threading.(R)Lock`` usage sites."""
+
+    __slots__ = ("_core",)
+
+    def __init__(self, core):
+        self._core = core
+
+    def __enter__(self):
+        self._core.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._core.release()
+        return False
+
+
+class CoreRegistry:
+    """A pool's volatile lock cores, memoized by key so every handle to the
+    same lock identity arbitrates together."""
+
+    def __init__(self):
+        self._guard = threading.Lock()
+        self._mutexes: dict = {}
+        self._rws: dict = {}
+
+    def mutex_core(self, key, *, reentrant: bool = False) -> _ThreadMutexCore:
+        with self._guard:
+            core = self._mutexes.get(key)
+            if core is None:
+                core = self._mutexes[key] = _ThreadMutexCore(
+                    reentrant=reentrant
+                )
+            return core
+
+    def rw_core(self, key) -> _ThreadRWCore:
+        with self._guard:
+            core = self._rws.get(key)
+            if core is None:
+                core = self._rws[key] = _ThreadRWCore()
+            return core
 
 
 def _note_acquire(ctx, contended: bool) -> None:
@@ -246,10 +399,10 @@ class VolatileRWLock:
     serialization, and the discipline-checker events are identical.
     """
 
-    def __init__(self, name: str, *, replay: bool = True, core=None):
+    def __init__(self, name: str, *, replay: bool = True):
         self.name = name
         self.replay = replay
-        self._core = core if core is not None else _RWCore()
+        self._core = _ThreadRWCore()
 
     def acquire_read(self, ctx) -> bool:
         contended = self._core.acquire_read()

@@ -36,11 +36,11 @@ import numpy as np
 
 from ..errors import BadAddressError, PoolCorruptError
 from ..kernel.dax import touch_rows
-from ..shm.sync import LocalLockProvider
 from ..mem.device import PMEMDevice
 from ..mem.memcpy import charge_pmem_read, charge_pmem_write
 from ..telemetry import metrics_for, span
 from .alloc import Heap
+from .locks import CoreRegistry
 
 POOL_MAGIC = b"PMDKPOOL"
 POOL_VERSION = 1
@@ -117,10 +117,8 @@ class PmemPool:
         self.lanes_off = 0
         self._lane_free: set[int] = set()
         self._lane_cond = threading.Condition()
-        self._lane_cell = None  # shared mode: cross-process lane bitmap
-        #: volatile-lock-core provider for every lock living in this pool —
-        #: in-process cores by default; attach_shared swaps in shm cores
-        self.locks = LocalLockProvider()
+        #: volatile lock cores for every lock living in this pool
+        self.locks = CoreRegistry()
 
     # ------------------------------------------------------------------ regions
 
@@ -215,47 +213,6 @@ class PmemPool:
         pool._lane_free = set(range(pool.nlanes))
         return pool
 
-    @classmethod
-    def open_uncharged(cls, region, *, size: int) -> "PmemPool":
-        """Procs-engine non-root attach: parse the header through uncharged
-        ``view`` reads and skip recovery (rank 0 already ran it) — mirrors
-        the thread engine, where non-root ranks receive the open pool object
-        through the board for free.  Must be followed by
-        :meth:`attach_shared` so the heap's volatile maps stay coherent."""
-        pool = cls(region, size=size)
-        raw = bytes(region.view(0, POOL_HEADER_SIZE))
-        (magic, version, _flags, psize, root_off, heap_off, heap_size,
-         nlanes, lane_log_size, lanes_off) = _HDR.unpack(raw[: _HDR.size])
-        (crc,) = struct.unpack_from("<I", raw, _CRC_OFF)
-        if magic != POOL_MAGIC:
-            raise PoolCorruptError(f"bad magic {magic!r}")
-        if version != POOL_VERSION:
-            raise PoolCorruptError(f"unsupported version {version}")
-        if crc != cls._header_crc(raw):
-            raise PoolCorruptError("header checksum mismatch")
-        if psize != size:
-            raise PoolCorruptError(
-                f"pool size mismatch: header says {psize}, region is {size}"
-            )
-        pool.root_off = root_off
-        pool.heap_off = heap_off
-        pool.heap_size = heap_size
-        pool.nlanes = nlanes
-        pool.lane_log_size = lane_log_size
-        pool.lanes_off = lanes_off
-        pool.heap = Heap(pool, heap_off, heap_size)
-        return pool
-
-    def attach_shared(self, provider) -> None:
-        """Make every volatile structure of this pool cross-process: lock
-        cores, the heap's free/used maps, and the undo-log lane bitmap all
-        move to the shared domain, keyed by stable pool offsets so every
-        worker's handles arbitrate together."""
-        self.locks = provider
-        self._lane_cell = provider.lane_cell(self.lanes_off, self.nlanes)
-        if self.heap is not None:
-            self.heap.enable_shared(provider)
-
     @staticmethod
     def _header_crc(hdr: bytes) -> int:
         # root_off (bytes 24..32) is a mutable field updated by set_root
@@ -313,8 +270,6 @@ class PmemPool:
     def acquire_lane(self, preferred: int | None = None) -> int:
         """Take a free lane — the ``preferred`` one when it is free (rank
         determinism; see :class:`~repro.pmdk.tx.Transaction`), else any."""
-        if self._lane_cell is not None:
-            return self._lane_cell.acquire_lane(preferred)
         with self._lane_cond:
             while not self._lane_free:
                 self._lane_cond.wait()
@@ -324,9 +279,6 @@ class PmemPool:
             return self._lane_free.pop()
 
     def release_lane(self, lane: int) -> None:
-        if self._lane_cell is not None:
-            self._lane_cell.release_lane(lane)
-            return
         with self._lane_cond:
             self._lane_free.add(lane)
             self._lane_cond.notify()

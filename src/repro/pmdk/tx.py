@@ -46,8 +46,8 @@ class Transaction:
         # rank-keyed lane preference: a rank's transactions land in the
         # same lane whenever it is free, so lane-log placement (and hence
         # which log pages each rank first-touches) does not depend on how
-        # concurrent transactions happened to interleave — the thread and
-        # process engines produce identical pool images and fault charges
+        # concurrent transactions happened to interleave — every run
+        # produces the same pool image and fault charges
         rank = getattr(self.ctx, "rank", None)
         preferred = rank % self.pool.nlanes if rank is not None else None
         self.lane = self.pool.acquire_lane(preferred=preferred)

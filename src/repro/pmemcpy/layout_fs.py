@@ -55,26 +55,6 @@ class HierarchicalLayout(Layout):
 
     def setup(self, ctx, comm, path: str, *, pool_size: int) -> None:
         env = ctx.env
-        if getattr(ctx, "engine", "threads") == "procs":
-            # cross-process: lock state lives in the shared domain, keyed
-            # by store path + variable id, so every worker's locally-built
-            # VolatileRWLock handles arbitrate together — no object passes
-            # through the board
-            if comm.rank == 0 and not env.vfs.exists(path):
-                env.vfs.mkdir(ctx, path, parents=True)
-            comm.barrier()
-            replay = self._striped or self.meta_rw
-            provider = ctx.locks.scoped(("fslayout", path))
-            self._shared = {
-                "mu": threading.Lock(),  # guards the local memo only
-                "provider": provider,
-                "ns": VolatileRWLock(f"meta:{path}", replay=replay,
-                                     core=provider.rw_core("ns")),
-                "vars": {},
-            }
-            self.root = path
-            comm.barrier()
-            return
         if comm.rank == 0:
             if not env.vfs.exists(path):
                 env.vfs.mkdir(ctx, path, parents=True)
@@ -157,10 +137,7 @@ class HierarchicalLayout(Layout):
         with shared["mu"]:
             lock = shared["vars"].get(var_id)
             if lock is None:
-                provider = shared.get("provider")
-                core = (provider.rw_core(("var", var_id))
-                        if provider is not None else None)
-                lock = VolatileRWLock(f"meta:{self.root}/{var_id}", core=core)
+                lock = VolatileRWLock(f"meta:{self.root}/{var_id}")
                 shared["vars"][var_id] = lock
             return lock
 

@@ -63,9 +63,6 @@ class HashtableLayout(Layout):
 
     def setup(self, ctx, comm, path: str, *, pool_size: int) -> None:
         """Collective: rank 0 creates/opens the pool file, everyone maps it."""
-        if getattr(ctx, "engine", "threads") == "procs":
-            self._setup_procs(ctx, comm, path, pool_size=pool_size)
-            return
         env = ctx.env
         flags = MapFlags.SHARED | (MapFlags.SYNC if self.map_sync else 0)
         if comm.rank == 0:
@@ -118,78 +115,6 @@ class HashtableLayout(Layout):
             with ctx.board.lock:
                 self.pool, self.map, self.table = ctx.board.data[("pmemcpy", path)]
             self.pool.attach(ctx, mapping)
-        self._mapping = mapping
-        comm.barrier()
-
-    def _setup_procs(self, ctx, comm, path: str, *, pool_size: int) -> None:
-        """Procs-engine setup.  Rank 0 creates/opens + recovers exactly as
-        under threads (identical charges).  Peers cannot receive the live
-        pool object through the board, so each re-derives its *own* handle
-        from the on-device header via uncharged ``view`` reads — mirroring
-        the thread engine, where non-root ranks get the open objects for
-        free — and attaches the pool's volatile state (lock cores, heap
-        maps, lanes) to the shared domain, keyed per pool path."""
-        env = ctx.env
-        flags = MapFlags.SHARED | (MapFlags.SYNC if self.map_sync else 0)
-        provider = ctx.locks.scoped(("pool", path))
-        key = ("pmemcpy", path)
-        if comm.rank == 0:
-            fresh = not env.vfs.exists(path)
-            fd = env.vfs.open(ctx, path, OpenFlags.CREAT | OpenFlags.RDWR)
-            if fresh:
-                env.vfs.fallocate(ctx, fd, pool_size, contiguous=True)
-            mapping = env.vfs.mmap(ctx, fd, flags)
-            pool = env.pools.get(path)
-            if pool is None:
-                if fresh:
-                    pool = PmemPool.create(
-                        ctx, mapping, size=pool_size,
-                        nlanes=POOL_NLANES, lane_log_size=POOL_LANE_LOG,
-                    )
-                    hmap = PmemHashmap.create(ctx, pool, nbuckets=self.nbuckets)
-                    table = PmemStripedLocks.alloc(
-                        ctx, pool, self.meta_stripes, name=f"meta:{path}",
-                        replay=self._replay_locks(self.meta_stripes),
-                    )
-                    root = pool.malloc(ctx, 24)
-                    pool.write(ctx, root, struct.pack(
-                        "<QQQ", hmap.hdr_off, table.off, table.nstripes
-                    ))
-                    pool.persist(ctx, root, 24)
-                    pool.set_root(ctx, root)
-                else:
-                    pool = PmemPool.open(ctx, mapping, size=pool_size)
-                env.pools[path] = pool
-            pool._default_region = mapping
-            pool.attach(ctx, mapping)
-            pool.attach_shared(provider)
-            root = pool.root()
-            raw = bytes(pool.read(ctx, root, 24))
-            hmap_off, stripes_off, nstripes = struct.unpack("<QQQ", raw)
-            self.pool = pool
-            self.map = PmemHashmap.open(pool, hmap_off)
-            self.table = PmemStripedLocks.open(
-                ctx, pool, stripes_off, nstripes, name=f"meta:{path}",
-                replay=self._replay_locks(nstripes),
-            )
-            ctx.board.put(key, (hmap_off, stripes_off, nstripes))
-            comm.barrier()
-        else:
-            comm.barrier()
-            hmap_off, stripes_off, nstripes = ctx.board.wait_get(key)
-            fd = env.vfs.open(ctx, path, OpenFlags.RDWR)
-            mapping = env.vfs.mmap(ctx, fd, flags)
-            pool = PmemPool.open_uncharged(mapping, size=pool_size)
-            pool.attach(ctx, mapping)
-            pool.attach_shared(provider)
-            self.pool = pool
-            self.map = PmemHashmap.open(pool, hmap_off)
-            # no recover: rank 0 already cleared dead owners (before the
-            # barrier), and recovery writes are charged only once per node
-            self.table = PmemStripedLocks(
-                pool, stripes_off, nstripes, name=f"meta:{path}",
-                replay=self._replay_locks(nstripes),
-            )
         self._mapping = mapping
         comm.barrier()
 

@@ -32,7 +32,6 @@ without poisoning the batch, the pool, or the engine run.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -134,10 +133,6 @@ class ShardExecutor:
         self.metrics = MetricRegistry()
         self.batches = 0
         self.requests = 0
-        #: disjoint per-shard span-id space (shard *s* owns ids from
-        #: ``1 + (s+1) << 48``), the same trick :mod:`repro.sim.procengine`
-        #: uses per rank — see :meth:`_rebase_span_ids`
-        self._span_ids = itertools.count(1 + ((shard + 1) << 48))
 
     # ------------------------------------------------------------------ admin
 
@@ -213,30 +208,12 @@ class ShardExecutor:
         self.batches += 1
         self.requests += len(batch)
         spans = [s for t in res.traces for s in getattr(t, "spans", ())]
-        self._rebase_span_ids(spans)
         return BatchResult(
             outcomes=outcomes,
             engine_ns=res.time().makespan_ns,
             coalesced=len(superseded),
             spans=spans,
         )
-
-    def _rebase_span_ids(self, spans) -> None:
-        """Move a batch's span ids into this shard's disjoint id space.
-
-        Under ``REPRO_ENGINE=procs`` every forked single-rank batch
-        worker reseeds the span-id counter to the same base, so two
-        batches (or two shards) emit *identical* ids — a merged
-        flight-recorder dump would cross-link parent/child edges between
-        unrelated requests.  Remapping after the run (per-shard base,
-        sequence persisted across batches) keeps merged dumps
-        collision-free without reseeding the process-global counter,
-        which concurrent asyncio batches would race on."""
-        mapping = {s.span_id: next(self._span_ids) for s in spans}
-        for s in spans:
-            s.span_id = mapping[s.span_id]
-            if s.parent_id is not None:
-                s.parent_id = mapping.get(s.parent_id, s.parent_id)
 
     def _apply_one(self, req: Request):
         pmem = self.pmem

@@ -14,13 +14,9 @@ from .trace import Acquire, Barrier, Delay, Release, Transfer, TraceOp, RankTrac
 from .resources import Resource, ResourceSet, build_standard_resources
 from .fluid import FluidSimulator, FluidResult
 from .engine import (
-    ENGINE_ENV,
-    ENGINE_NAMES,
     Context,
-    RankEngine,
     SpmdResult,
     ThreadEngine,
-    resolve_engine,
     run_spmd,
 )
 from .lockcheck import (
@@ -47,12 +43,8 @@ __all__ = [
     "FluidSimulator",
     "FluidResult",
     "Context",
-    "ENGINE_ENV",
-    "ENGINE_NAMES",
-    "RankEngine",
     "SpmdResult",
     "ThreadEngine",
-    "resolve_engine",
     "run_spmd",
     "PhaseBreakdown",
     "Utilization",

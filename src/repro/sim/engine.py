@@ -1,17 +1,10 @@
 """SPMD functional-pass engine.
 
 ``run_spmd(nprocs, fn)`` executes ``fn(ctx)`` on every rank against real
-(scaled-down) buffers.  *How* ranks execute is delegated to a
-:class:`RankEngine`:
-
-- :class:`ThreadEngine` (``threads``, the universal default) — one OS
-  thread per rank, GIL-serialized, deterministic, crash-sim capable;
-- ``ProcEngine`` (``procs``, :mod:`repro.sim.procengine`) — one forked OS
-  *process* per rank over an mmap shared-memory heap, so data-path copies
-  genuinely run in parallel.
-
-Engine selection: the ``engine=`` argument, else the ``REPRO_ENGINE``
-environment variable (``threads`` | ``procs``), else ``threads``.
+(scaled-down) buffers.  :class:`ThreadEngine` runs each rank as one OS
+thread: GIL-serialized, deterministic, crash-sim capable.  The ranks'
+host-side concurrency is not the model's — the timing pass charges what
+the recorded traces say, however the threads interleaved.
 
 The :class:`Context` is the single funnel through which every substrate
 records costs:
@@ -23,7 +16,7 @@ records costs:
 - ``ctx.barrier()`` both synchronizes the ranks *and* records a Barrier op;
 - ``ctx.phase(name)`` labels subsequent ops for breakdown reporting;
 - ``ctx.board`` is a shared rendezvous board the MPI layer builds
-  collectives on (thread board here; shm board under procs).
+  collectives on.
 
 Determinism: each rank appends only to its own trace, and trace contents
 depend only on the rank's logical execution, so the timing pass is
@@ -37,7 +30,6 @@ from __future__ import annotations
 
 import os
 import threading
-from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -45,15 +37,10 @@ from typing import Any, Callable
 import numpy as np
 
 from ..config import DEFAULT_MACHINE, MachineSpec
-from ..errors import CollectiveAbortedError, EngineUnavailableError, RankFailedError
-from ..shm.sync import LocalLockProvider
+from ..errors import CollectiveAbortedError, RankFailedError
 from .fluid import FluidResult, FluidSimulator
 from .resources import ResourceSet, build_standard_resources
 from .trace import Acquire, Barrier, Delay, RankTrace, Release, Rows, Transfer
-
-#: environment variable selecting the default rank engine
-ENGINE_ENV = "REPRO_ENGINE"
-ENGINE_NAMES = ("threads", "procs")
 
 
 class SharedBoard:
@@ -61,8 +48,6 @@ class SharedBoard:
 
     The MPI layer uses it to exchange object references for collectives; the
     engine uses it for functional barriers.  Keys are arbitrary hashables.
-    The collective/p2p/KV protocol methods mirror
-    :class:`~repro.shm.board.ProcBoard` so callers are engine-agnostic.
     """
 
     def __init__(self):
@@ -174,8 +159,6 @@ class Context:
         board,
         trace: RankTrace,
         env=None,
-        engine: str = "threads",
-        locks=None,
     ):
         self.rank = rank
         self.nprocs = nprocs
@@ -186,11 +169,6 @@ class Context:
         #: experiment environment (e.g. a repro.cluster.Cluster) giving the
         #: rank access to the node's devices and filesystems
         self.env = env
-        #: which rank engine is executing this rank ("threads" | "procs")
-        self.engine = engine
-        #: volatile-lock-core provider — in-process cores under threads,
-        #: shared-memory cores under procs (same keys → same arbitration)
-        self.locks = locks if locks is not None else LocalLockProvider()
         self._phase_stack: list[str] = [""]
         self._barrier_counts: dict[tuple[int, ...], int] = {}
         #: running uncontended lower bound of this rank's modeled time — a
@@ -373,10 +351,6 @@ class SpmdResult:
     scale: int
     traces: list[RankTrace]
     returns: list[Any]
-    #: which engine executed the run ("threads" | "procs")
-    engine: str = "threads"
-    #: worker pids under the procs engine (empty for threads)
-    worker_pids: tuple[int, ...] = ()
     _timing: FluidResult | None = field(default=None, repr=False)
 
     def time(self, resources: ResourceSet | None = None, *,
@@ -437,33 +411,12 @@ def select_root_failure(
     return ordered[0]
 
 
-class RankEngine(ABC):
-    """Execution substrate for one SPMD run."""
-
-    name: str
-
-    @abstractmethod
-    def run(
-        self,
-        nprocs: int,
-        fn: Callable[[Context], Any],
-        *,
-        machine: MachineSpec,
-        scale: int,
-        thread_name: str,
-        env,
-    ) -> SpmdResult:
-        """Execute ``fn`` on every rank; return traces and values."""
-
-
-class ThreadEngine(RankEngine):
-    """One OS thread per rank — deterministic, universal, crash-sim capable."""
-
-    name = "threads"
+class ThreadEngine:
+    """One OS thread per rank — deterministic, crash-sim capable."""
 
     def run(self, nprocs, fn, *, machine, scale, thread_name, env) -> SpmdResult:
+        """Execute ``fn`` on every rank; return traces and values."""
         board = SharedBoard()
-        locks = LocalLockProvider()
         traces = [RankTrace(rank=r) for r in range(nprocs)]
         returns: list[Any] = [None] * nprocs
         failures: list[tuple[int, BaseException]] = []
@@ -472,7 +425,7 @@ class ThreadEngine(RankEngine):
         def runner(r: int) -> None:
             ctx = Context(
                 r, nprocs, machine=machine, scale=scale, board=board,
-                trace=traces[r], env=env, engine=self.name, locks=locks,
+                trace=traces[r], env=env,
             )
             try:
                 returns[r] = fn(ctx)
@@ -496,22 +449,8 @@ class ThreadEngine(RankEngine):
 
         return SpmdResult(
             nprocs=nprocs, machine=machine, scale=scale,
-            traces=traces, returns=returns, engine=self.name,
+            traces=traces, returns=returns,
         )
-
-
-def resolve_engine(engine: str | None = None) -> RankEngine:
-    """Instantiate the requested engine (arg > ``REPRO_ENGINE`` > threads)."""
-    name = engine or os.environ.get(ENGINE_ENV) or "threads"
-    if name == "threads":
-        return ThreadEngine()
-    if name == "procs":
-        from .procengine import ProcEngine
-
-        return ProcEngine()
-    raise EngineUnavailableError(
-        f"unknown rank engine {name!r} (expected one of {ENGINE_NAMES})"
-    )
 
 
 def run_spmd(
@@ -522,7 +461,6 @@ def run_spmd(
     scale: int = 1,
     thread_name: str = "rank",
     env=None,
-    engine: str | None = None,
 ) -> SpmdResult:
     """Run ``fn`` on ``nprocs`` ranks; gather traces and return values.
 
@@ -531,8 +469,7 @@ def run_spmd(
     """
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")
-    eng = resolve_engine(engine)
-    result = eng.run(
+    result = ThreadEngine().run(
         nprocs, fn, machine=machine, scale=scale,
         thread_name=thread_name, env=env,
     )

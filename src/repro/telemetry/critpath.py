@@ -298,9 +298,7 @@ def _critical_path(result, traces: list[RankTrace]) -> CriticalPath:
 
 
 def critical_path_spmd(res) -> CriticalPath:
-    """Critical path of a finished SPMD run (any engine — the procs engine
-    ships whole RankTraces back through its pipes, so the causal replay in
-    the parent is identical to the threads case).  Reads the result's own
+    """Critical path of a finished SPMD run.  Reads the result's own
     cached timing pass, so a run is replayed once however many consumers
     ask."""
     return _critical_path(res.time(record_causal=True), res.traces)

@@ -166,8 +166,11 @@ class Histogram:
             for i in np.flatnonzero(counts).tolist():
                 self.buckets[i] += int(counts[i])
         self.count += len(values)
-        self.sum = float(np.add.accumulate(
-            np.concatenate(([self.sum], values)))[-1])
+        # finite draws may sum past float max, and inf + -inf is nan: the
+        # values observe() gets silently from Python floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sum = float(np.add.accumulate(
+                np.concatenate(([self.sum], values)))[-1])
         self.min = min(self.min, low)
         self.max = max(self.max, high)
 

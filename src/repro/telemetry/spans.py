@@ -50,17 +50,6 @@ _SUPPRESSED = object()
 _span_ids = itertools.count(1)
 
 
-def reseed_span_ids(base: int) -> None:
-    """Restart span-id allocation at ``base``.
-
-    Forked rank workers (the procs engine) inherit the parent's counter
-    state, so without a per-rank reseed every worker would mint the same
-    ids and cross-rank parent/child attribution would collide when the
-    traces are merged."""
-    global _span_ids
-    _span_ids = itertools.count(base)
-
-
 def trace_mode() -> str:
     """The session's trace mode (unknown values fall back to ``full``)."""
     mode = os.environ.get(TRACE_ENV, "full").strip().lower()

@@ -60,7 +60,7 @@ def jobs() -> dict:
     w = Domain3D(nvars=1, model_dims=(40, 40, 40), axis_scale=5)
     return {r.job_id(): r.metrics
             for lib in PAPER_LIBRARIES
-            for r in run_io_experiment(lib, 1, w, engine="threads")}
+            for r in run_io_experiment(lib, 1, w)}
 
 
 @pytest.mark.parametrize("job_id", sorted(FLAT["jobs"]))
@@ -85,6 +85,6 @@ def test_pmem_stats_totals_equal_registry(layout):
         pmem.munmap()
         return st
 
-    st = Cluster(pmem_capacity=64 * MiB).run(1, fn, engine="threads")
+    st = Cluster(pmem_capacity=64 * MiB).run(1, fn)
     assert "telemetry" not in st.returns[0]
     assert_equivalent(FLAT["stats"][layout], st.returns[0]["metrics"])

@@ -1,12 +1,14 @@
 """Tests for the SPMD functional-pass engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.config import DEFAULT_MACHINE
 from repro.errors import RankFailedError
 from repro.sim import run_spmd
-from repro.sim.procengine import procs_available
+from repro.sim.engine import select_root_failure
 from repro.sim.resources import Resource, ResourceSet
 from repro.sim.trace import Barrier, Delay, Rows, Transfer
 
@@ -39,6 +41,40 @@ class TestRunSpmd:
     def test_single_rank(self):
         res = run_spmd(1, lambda ctx: ctx.nprocs)
         assert res.returns == [1]
+
+
+class TestRootCauseSelection:
+    """Barrier-casualty unwinding surfaces the real failure."""
+
+    def test_casualties_skipped(self):
+        failures = [
+            (0, threading.BrokenBarrierError("peer died")),
+            (2, ValueError("root cause")),
+            (1, threading.BrokenBarrierError("peer died")),
+        ]
+        rank, exc = select_root_failure(failures)
+        assert rank == 2
+        assert isinstance(exc, ValueError)
+
+    def test_all_casualties_lowest_rank_wins(self):
+        failures = [
+            (3, threading.BrokenBarrierError("a")),
+            (1, threading.BrokenBarrierError("b")),
+        ]
+        rank, exc = select_root_failure(failures)
+        assert rank == 1
+
+    def test_threads_rank_failure_is_root_cause(self):
+        def fn(ctx):
+            if ctx.rank == 1:
+                raise RuntimeError("rank 1 exploded")
+            ctx.barrier()  # peers block, then unwind as casualties
+
+        with pytest.raises(RankFailedError) as ei:
+            run_spmd(3, fn)
+        assert ei.value.rank == 1
+        assert isinstance(ei.value.__cause__, RuntimeError)
+        assert "exploded" in str(ei.value.__cause__)
 
 
 class TestContext:
@@ -138,11 +174,9 @@ class TestContext:
         res = run_spmd(1, fn)
         assert res.returns == [0.0] and res.traces[0].ops == []
 
-    @pytest.mark.skipif(not procs_available(),
-                        reason="procs engine needs os.fork")
-    def test_append_ops_shared_instances_survive_the_procs_pickle(self):
-        """A Rows entry (a view into a larger clock or column) comes back
-        from a forked rank standing for the same ops."""
+    def test_append_ops_shared_instances_stand_for_their_ops(self):
+        """A Rows entry (a view into a larger clock or column) stands for
+        the same ops as the calls it replaces."""
         def fn(ctx):
             ctx.transfer("cpu", 1.0, 1.0)
             ctx.append_rows(Rows("", 0.3, "pmem_read", 3.0, "n",
@@ -152,12 +186,11 @@ class TestContext:
         for _ in range(100):
             fresh += [Delay(0.3, "", "n"),
                       Transfer("pmem_read", 0.1, 3.0, "", "n")]
-        for engine in ("threads", "procs"):
-            res = run_spmd(1, fn, engine=engine)
-            assert res.traces[0].ops == fresh
-            assert len(res.traces[0].ops) == len(fresh)
-            assert [type(e) for e in res.traces[0].entries] == (
-                [Transfer, Delay, Transfer, Rows, Delay, Transfer])
+        res = run_spmd(1, fn)
+        assert res.traces[0].ops == fresh
+        assert len(res.traces[0].ops) == len(fresh)
+        assert [type(e) for e in res.traces[0].entries] == (
+            [Transfer, Delay, Transfer, Rows, Delay, Transfer])
 
     def test_barrier_records_matching_ids(self):
         def fn(ctx):

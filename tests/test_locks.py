@@ -15,6 +15,7 @@ from repro.pmdk import (
     VolatileRWLock,
     fnv1a64,
 )
+from repro.pmdk.locks import CoreLock, CoreRegistry
 from repro.pmdk.pool import RawRegion
 from repro.sim import run_spmd
 from repro.units import MiB
@@ -186,6 +187,25 @@ class TestVolatileRWLock:
             return lk.name
 
         assert one_rank(fn) == "meta:/store/x"
+
+
+class TestCoreRegistry:
+    def test_memoizes_by_key(self):
+        reg = CoreRegistry()
+        assert reg.mutex_core("a") is reg.mutex_core("a")
+        assert reg.mutex_core("a") is not reg.mutex_core("b")
+        assert reg.rw_core("r") is reg.rw_core("r")
+        # every handle to one pool offset arbitrates on one core
+        _, _, pool = make_pool()
+        assert PmemMutex(pool, 64)._core is PmemMutex(pool, 64)._core
+        assert PmemRWLock(pool, 64)._core is PmemRWLock(pool, 64)._core
+
+    def test_core_lock_context_manager(self):
+        reg = CoreRegistry()
+        lock = CoreLock(reg.mutex_core("c", reentrant=True))
+        with lock:
+            with lock:
+                pass
 
 
 class TestStripedLocks:

@@ -18,7 +18,6 @@ from repro.pmemcpy.dataset import (
     VariableMeta,
     split_at_chunk_grid,
 )
-from repro.sim.procengine import procs_available
 from repro.units import MiB
 
 LAYOUTS = ("hashtable", "hierarchical")
@@ -29,9 +28,8 @@ CHUNK = (10, 10, 10)
 ONE_PCT = Hyperslab((18, 18, 18), (9, 9, 9))  # 729/64000 elems ~ 1.1%
 
 
-def run1(fn, *, nprocs=1, engine=None):
-    cl = Cluster(pmem_capacity=128 * MiB)
-    return cl.run(nprocs, fn, engine=engine) if engine else cl.run(nprocs, fn)
+def run1(fn, *, nprocs=1):
+    return Cluster(pmem_capacity=128 * MiB).run(nprocs, fn)
 
 
 def make_pmem(ctx, layout, serializer="bp4", filters=()):
@@ -429,30 +427,3 @@ def test_split_at_chunk_grid():
         seen[off[0]:off[0] + dims[0], off[1]:off[1] + dims[1]] += 1
     assert (seen[2:8, 3:8] == 1).all()
     assert seen.sum() == 30
-
-
-# ---------------------------------------------------------------------------
-# procs rank engine
-# ---------------------------------------------------------------------------
-
-@pytest.mark.skipif(not procs_available(), reason="procs engine needs os.fork")
-def test_partial_load_under_procs_engine():
-    data = np.arange(16 * 16, dtype=np.float64).reshape(16, 16)
-    hs = Hyperslab((1, 1), (5, 5), stride=(3, 3))
-
-    def job(ctx):
-        comm = Communicator.world(ctx)
-        pmem = make_pmem(ctx, "hashtable", "raw")
-        pmem.alloc("f", data.shape, np.float64, chunk_shape=(8, 8))
-        rows = data.shape[0] // comm.size
-        r0 = comm.rank * rows
-        pmem.store("f", data[r0:r0 + rows], (r0, 0))
-        comm.barrier()
-        got = pmem.load("f", selection=hs)
-        pmem.munmap()
-        return got
-
-    want = np.empty(hs.out_shape)
-    hs.scatter_into(want, data, (0, 0))
-    for got in run1(job, nprocs=2, engine="procs").returns:
-        assert np.array_equal(got, want)

@@ -10,7 +10,6 @@ exercised through the same code path the CI job runs.
 """
 
 import json
-import os
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.perf import (
     DEFAULT_BASELINE_PATH,
     MODELED_GATE_FRAC,
     Measurement,
-    Scenario,
     all_scenarios,
     attribute_families,
     baseline_from_runs,
@@ -319,19 +317,6 @@ def test_sparkline_shape():
     assert len(set(flat)) == 1
 
 
-# ---------------------------------------------------------------------------
-# schema v2: the engine column
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_entries_carry_engine_column():
-    doc = baseline_from_runs([_run_record()])
-    from repro.perf.baseline import BASELINE_SCHEMA
-
-    assert doc["schema"] == BASELINE_SCHEMA
-    assert doc["scenarios"]["mem.memcpy_persist"]["engine"] == "threads"
-
-
 def test_pre_v3_baselines_are_rejected(tmp_path):
     """Only /3 baselines load: an older schema is refused by name."""
     from repro.perf.baseline import BASELINE_SCHEMA
@@ -345,90 +330,3 @@ def test_pre_v3_baselines_are_rejected(tmp_path):
         with pytest.raises(ValueError, match=f"schema {old!r} is not "
                                              f"{BASELINE_SCHEMA!r}"):
             load_baseline(str(path))
-
-
-def test_compare_refuses_engine_mismatch():
-    baseline = baseline_from_runs([_run_record()])  # engine: threads
-    cur = [dict(_run_record(), engine="procs")]
-    rep = compare_runs(baseline, cur)
-    assert not rep.ok
-    v = rep.regressions[0]
-    assert v.status == "engine-mismatch"
-    assert v.base_engine == "threads"
-    assert v.cur_engine == "procs"
-    assert "re-measure or refresh the baseline" in rep.render()
-
-
-def test_procs_twins_match_engines():
-    """Every procs.* twin scenario's declared engine matches its name —
-    the baseline column is derived from the registry, so a mislabel would
-    poison every future compare."""
-    for s in all_scenarios():
-        if s.group == "procs":
-            assert s.name.endswith(f".{s.engine}"), s.name
-        else:
-            assert s.engine == "threads", s.name
-
-
-# ---------------------------------------------------------------------------
-# perf speedup: the one command that keeps a host clock
-# ---------------------------------------------------------------------------
-
-
-def _stub_twins(clock, calls, costs):
-    """A fake ``procs.*`` registry: each run logs its name in ``calls`` and
-    advances ``clock`` by its engine's cost in seconds."""
-
-    def runner(name, cost):
-        def run():
-            calls.append(name)
-            clock[0] += cost
-            return {}
-
-        return run
-
-    return [
-        Scenario(f"{stem}.{eng}", "procs", True, False,
-                 runner(f"{stem}.{eng}", cost), engine=eng)
-        for stem, per_engine in costs.items()
-        for eng, cost in per_engine.items()
-    ]
-
-
-def test_speedup_below_min_cores_is_not_measurable(monkeypatch, capsys):
-    import repro.perf.__main__ as cli
-
-    calls = []
-    twins = _stub_twins([0.0], calls,
-                        {"procs.a": {"threads": 5.0, "procs": 1.0}})
-    monkeypatch.setattr(cli, "all_scenarios", lambda: twins)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert perf_main(["speedup"]) == 0
-    assert "not measurable" in capsys.readouterr().out
-    assert calls == []
-
-
-def test_speedup_gates_the_median_ratio(monkeypatch, capsys):
-    import repro.perf.__main__ as cli
-
-    clock, calls = [0.0], []
-    twins = _stub_twins(clock, calls, {
-        "procs.fast": {"threads": 5.0, "procs": 1.0},
-        "procs.slow": {"threads": 2.0, "procs": 1.0},
-    })
-    monkeypatch.setattr(cli, "all_scenarios", lambda: twins)
-    monkeypatch.setattr(cli, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-
-    assert perf_main(["speedup"]) == 1
-    out = capsys.readouterr().out
-    assert "procs.fast: threads 5.000s / procs 1.000s = 5.00x (ok)" in out
-    assert ("procs.slow: threads 2.000s / procs 1.000s = 2.00x "
-            "(below the 4x gate)") in out
-    # the engines alternate, SPEEDUP_RUNS runs each
-    assert calls[:2 * cli.SPEEDUP_RUNS] == \
-        ["procs.fast.threads", "procs.fast.procs"] * cli.SPEEDUP_RUNS
-    assert len(calls) == 4 * cli.SPEEDUP_RUNS
-
-    monkeypatch.setattr(cli, "all_scenarios", lambda: twins[:2])
-    assert perf_main(["speedup"]) == 0, "the 5x pair alone passes"

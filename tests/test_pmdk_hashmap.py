@@ -286,7 +286,7 @@ class TestModelBased:
 
 class TestStableValueBlobs:
     """In-place value replacement + the ``reserve`` hint: overwrites that
-    fit the existing blob keep its address (engine-independent metadata
+    fit the existing blob keep its address (arrival-order-independent metadata
     layout — DESIGN.md §11)."""
 
     def test_equal_size_overwrite_is_in_place(self):

@@ -1,5 +1,7 @@
 """Tests for the PMDK pool, allocator, and transactions."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -549,16 +551,21 @@ class TestCrashCampaignCoverage:
 
 class TestLaneAllocator:
     """Per-rank allocation lanes: SPMD formats pre-partition the heap so
-    concurrent mallocs get deterministic, engine-independent addresses
-    (DESIGN.md §11)."""
+    concurrent mallocs get deterministic addresses, whatever order the
+    ranks arrive in (DESIGN.md §11)."""
 
     NPROCS = 4
 
-    def spmd_offsets(self):
+    def spmd_offsets(self, order=None):
+        """Each rank's offsets from six mallocs.  ``order`` lists the
+        ranks in the order they enter malloc, each waiting for the one
+        before it to finish; None lets them race."""
         size = 2 * MiB
         device = PMEMDevice(size)
         region = RawRegion(device, 0, size)
         holder = {}
+        turns = [threading.Event() for _ in range(self.NPROCS + 1)]
+        turns[0].set()
 
         def fn(ctx):
             if ctx.rank == 0:
@@ -567,7 +574,12 @@ class TestLaneAllocator:
                 )
             ctx.barrier()
             pool = holder["pool"]
+            turn = None if order is None else order.index(ctx.rank)
+            if turn is not None:
+                turns[turn].wait()
             offs = [pool.malloc(ctx, 64 + 64 * i) for i in range(6)]
+            if turn is not None:
+                turns[turn + 1].set()
             ctx.barrier()
             return offs
 
@@ -578,6 +590,11 @@ class TestLaneAllocator:
         _, a = self.spmd_offsets()
         _, b = self.spmd_offsets()
         assert a == b
+        # ranks arriving in rank order or in reverse get the same offsets
+        forward = list(range(self.NPROCS))
+        _, fwd = self.spmd_offsets(order=forward)
+        _, rev = self.spmd_offsets(order=forward[::-1])
+        assert fwd == rev == a
 
     def test_each_rank_allocates_inside_its_lane(self):
         pool, offsets = self.spmd_offsets()

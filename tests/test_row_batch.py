@@ -30,21 +30,15 @@ from repro.pmemcpy import PMEM, Hyperslab, PointSelection
 from repro.pmemcpy.selection import Run, _row_major_strides
 from repro.serial.base import PmemSource, array_from_bytes
 from repro.sim import run_spmd
-from repro.sim.procengine import procs_available
 from repro.sim.trace import Delay, Rows
 from repro.telemetry import merged_metrics, metrics_for, record, span
+from repro.telemetry import spans as spans_module
 from repro.telemetry.export import chrome_trace, spans_to_dicts
 from repro.telemetry.prometheus import prometheus_text
-from repro.telemetry.spans import LeafBatch, reseed_span_ids
+from repro.telemetry.spans import LeafBatch
 from repro.units import MiB
 
 from .test_selection import axis_st, slab_from
-
-ENGINES = [
-    "threads",
-    pytest.param("procs", marks=pytest.mark.skipif(
-        not procs_available(), reason="procs engine needs os.fork")),
-]
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +124,16 @@ def touched(mapping) -> tuple[list[int], list[int]]:
                           (mapping._touched_lines, mapping._line_bits)))
 
 
+def restart_span_ids() -> None:
+    """Restart the process-wide span-id counter, so two runs compared
+    ``==`` mint the same ids."""
+    spans_module._span_ids = itertools.count(1)
+
+
 def recorded_spans(trace) -> list:
     """The trace's spans, leaf batches expanded into new objects — unlike
     ``trace.spans``, which expands them in place, so the batches a rank
-    recorded still cross the procs engine's pickle."""
+    recorded are still there to count."""
     return list(itertools.chain.from_iterable(
         s.spans() if isinstance(s, LeafBatch) else (s,)
         for s in trace.span_entries))
@@ -251,15 +251,15 @@ def test_run_table_of_a_zero_d_selection():
 # PMEM.load: the batch path against the row-wise reference
 # ---------------------------------------------------------------------------
 
-def run_loads(*, layout, map_sync, gdims, chunk, sels, engine="threads",
-              scale=1, dtype=np.float64, strided_out=False, rowwise):
+def run_loads(*, layout, map_sync, gdims, chunk, sels, scale=1,
+              dtype=np.float64, strided_out=False, rowwise):
     """Store one variable, load every selection of ``sels`` in turn (on
     hashtable the later ones read through a mapping whose lines the earlier
     ones touched); returns (data, (arrays, snapshot), result)."""
     data = (np.arange(math.prod(gdims)) % 251).astype(dtype).reshape(gdims)
 
     def job(ctx):
-        reseed_span_ids(1)
+        restart_span_ids()
         pmem = PMEM(serializer="raw", layout=layout, map_sync=map_sync)
         if rowwise:
             pmem._load_chunk_ranged = types.MethodType(load_chunk_rowwise, pmem)
@@ -281,8 +281,7 @@ def run_loads(*, layout, map_sync, gdims, chunk, sels, engine="threads",
         pmem.munmap()
         return outs, snapshot(ctx)
 
-    res = Cluster(pmem_capacity=16 * MiB, scale=scale).run(
-        1, job, engine=engine)
+    res = Cluster(pmem_capacity=16 * MiB, scale=scale).run(1, job)
     return data, res.returns[0], res
 
 
@@ -324,24 +323,21 @@ def load_case(draw):
     }
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=25, deadline=None)
 @given(case=load_case())
-def test_batch_load_equals_rowwise_load(engine, case):
-    check_loads(engine=engine, **case)
+def test_batch_load_equals_rowwise_load(case):
+    check_loads(**case)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("map_sync", [True, False])
 @pytest.mark.parametrize("layout", ["hierarchical", "hashtable"])
-def test_batch_load_equals_rowwise_load_on_a_chunk_grid(layout, map_sync,
-                                                        engine):
+def test_batch_load_equals_rowwise_load_on_a_chunk_grid(layout, map_sync):
     """The benchmark's shapes, smaller: whole, dense box, strided planes,
     blocked stride and points over a 2x2x2 chunk grid."""
     n = 16
     rng = np.random.default_rng(7)
     _snap, columnar = check_loads(
-        layout=layout, map_sync=map_sync, engine=engine,
+        layout=layout, map_sync=map_sync,
         gdims=(n, n, n), chunk=(8, 8, 8),
         sels=[
             Hyperslab.all((n, n, n)),
@@ -410,7 +406,7 @@ def read_through_mapping(rows, *, sync, scale, pretouch, batch):
     content = (np.arange(FILE_BYTES) % 253).astype(np.uint8)
 
     def job(ctx):
-        reseed_span_ids(1)
+        restart_span_ids()
         node = fs.create(ctx, "/f")
         fs.fallocate(ctx, node, FILE_BYTES, contiguous=True)
         fs.mmap(ctx, node).write(ctx, 0, content)

@@ -28,13 +28,11 @@ from repro.mem.memcpy import charge_pmem_read, charge_pmem_write
 from repro.mpi import Communicator
 from repro.pmemcpy import PMEM
 from repro.sim import run_spmd
-from repro.sim.procengine import procs_available
 from repro.sim.trace import Delay
 from repro.telemetry import metrics_for
-from repro.telemetry.spans import reseed_span_ids
 from repro.units import MiB
 
-from .test_row_batch import read_back, snapshot, touched
+from .test_row_batch import read_back, restart_span_ids, snapshot, touched
 
 # ---------------------------------------------------------------------------
 # the per-extent reference
@@ -256,7 +254,7 @@ def run_scalar_case(case, *, reference: bool):
     flags = MapFlags.SHARED | (MapFlags.SYNC if case["sync"] else 0)
 
     def job(ctx):
-        reseed_span_ids(1)
+        restart_span_ids()
         node = build_file(ctx, fs, case["layout"], case["nblocks"],
                           case["short"])
         maps = [fs.mmap(ctx, node, flags) for _ in range(2)]
@@ -272,7 +270,7 @@ def run_scalar_case(case, *, reference: bool):
         return (results, snapshot(ctx), [touched(m) for m in maps],
                 (node.size, list(node.extents)))
 
-    res = run_spmd(1, job, scale=case["scale"], engine="threads")
+    res = run_spmd(1, job, scale=case["scale"])
     if journal is not None:
         journal.detach()
     return res.returns[0], device_state(device), journal_events(journal)
@@ -387,7 +385,7 @@ def test_the_window_covers_exactly_the_leading_extent():
         assert m._window(-1, 8) is None
         assert m._window(0, -1) is None
 
-    run_spmd(1, job, engine="threads")
+    run_spmd(1, job)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +416,7 @@ def test_negative_ranges_raise_before_any_state_change(call, sync):
                  list(node.extents), fs.device.persistence_counters())
         assert after == before
 
-    run_spmd(1, job, engine="threads")
+    run_spmd(1, job)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +457,7 @@ def test_two_mappings_commit_a_page_once(reference):
         return paid
 
     # scale 2048: a 1 KiB model page, so the file holds 256 of them
-    res = run_spmd(1, job, scale=2048, engine="threads")
+    res = run_spmd(1, job, scale=2048)
     assert res.returns[0] == [True, False, False, True, False,
                               True, False, False, True, False,
                               True, False, False]
@@ -474,7 +472,6 @@ def run_two_ranks(reference: bool):
     fs.fallocate(None, node, 64 * BS, contiguous=True)
 
     def job(ctx):
-        reseed_span_ids(1 + ctx.rank)
         comm = Communicator.world(ctx)
         m = fs.mmap(ctx, node, MapFlags.SHARED | MapFlags.SYNC)
         if reference:
@@ -491,7 +488,7 @@ def run_two_ranks(reference: bool):
         return paid, snapshot(ctx)
 
     # scale 2048: a 1 KiB model page
-    res = run_spmd(2, job, scale=2048, engine="threads")
+    res = run_spmd(2, job, scale=2048)
     return res.returns, fs.device._sync_lines.copy()
 
 
@@ -511,25 +508,18 @@ def test_two_ranks_writing_one_page_commit_it_once():
 
 
 # ---------------------------------------------------------------------------
-# PMEM store/load/delete against the reference, on every engine
+# PMEM store/load/delete against the reference
 # ---------------------------------------------------------------------------
 
-#: the ambient engine (``REPRO_ENGINE``, else threads) and procs
-ENGINES = [
-    None,
-    pytest.param("procs", marks=pytest.mark.skipif(
-        not procs_available(), reason="procs engine needs os.fork")),
-]
 
-
-def run_kv(*, reference, layout, map_sync, engine=None, shared_meta=False):
+def run_kv(*, reference, layout, map_sync):
     """Eight 4 KiB variables stored, loaded, half deleted and re-stored,
     three overwritten, on one rank; returns the loads, the rank's snapshot,
     what is read back from the run, and the device state."""
     data = np.arange(8 * 512, dtype=np.float64).reshape(8, 512)
 
     def job(ctx):
-        reseed_span_ids(1)
+        restart_span_ids()
         pmem = PMEM(layout=layout, map_sync=map_sync)
         pmem.mmap("/pmem/kv", Communicator.world(ctx))
         for k in range(8):
@@ -545,13 +535,11 @@ def run_kv(*, reference, layout, map_sync, engine=None, shared_meta=False):
         return outs, snapshot(ctx)
 
     cl = Cluster(pmem_capacity=16 * MiB)
-    if shared_meta:
-        cl.ensure_shm()
     with pytest.MonkeyPatch.context() as mp:
         if reference:
             # DaxFS.mmap builds its mappings from the module's name
             mp.setattr(dax_module, "DaxMapping", ReferenceMapping)
-        res = cl.run(1, job, engine=engine)
+        res = cl.run(1, job)
     return res.returns[0], read_back(res), device_state(cl.device)
 
 
@@ -567,29 +555,7 @@ def check_kv(**case):
             assert got[key] == want[key], key
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("map_sync", [False, True])
 @pytest.mark.parametrize("layout", ["hashtable", "hierarchical"])
-def test_pmem_ops_equal_per_extent_walk(layout, map_sync, engine):
-    check_kv(layout=layout, map_sync=map_sync, engine=engine)
-
-
-@pytest.mark.skipif(not procs_available(),
-                    reason="shared metadata needs the procs substrate")
-@pytest.mark.parametrize("map_sync", [False, True])
-def test_shared_metadata_takes_the_per_extent_walk(map_sync):
-    """Under a cross-process metadata lock no range has a window (only
-    ``file_ranges`` refreshes a stale generation), and the ops still equal
-    the reference."""
-    cl = Cluster(pmem_capacity=4 * MiB)
-    cl.ensure_shm()
-
-    def job(ctx):
-        fs = ctx.env.fs
-        node = fs.create(ctx, "/f")
-        fs.fallocate(ctx, node, 4 * BS, contiguous=True)
-        return fs.mmap(ctx, node)._window(0, 8)
-
-    assert cl.run(1, job, engine="threads").returns[0] is None
-    check_kv(layout="hashtable", map_sync=map_sync, engine="threads",
-             shared_meta=True)
+def test_pmem_ops_equal_per_extent_walk(layout, map_sync):
+    check_kv(layout=layout, map_sync=map_sync)

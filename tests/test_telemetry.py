@@ -10,11 +10,12 @@ and driver phase accounting stays correct on error paths.
 
 import json
 import sys
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import Cluster
 from repro.mpi import Communicator
@@ -32,7 +33,7 @@ from repro.telemetry import (
     spans_of,
     tracer_for,
 )
-from repro.telemetry.spans import LeafBatch, reseed_span_ids
+from repro.telemetry.spans import LeafBatch
 from repro.telemetry.export import (
     chrome_trace,
     darshan_records,
@@ -44,6 +45,8 @@ from repro.telemetry.export import (
     validate_chrome_trace,
 )
 from repro.units import MiB
+
+from .test_row_batch import restart_span_ids
 
 LAYOUTS = ["hashtable", "hierarchical"]
 
@@ -153,10 +156,15 @@ class TestMetricPrimitives:
                                 float("inf"), float("-inf")]),
                st.integers(1, 2 ** 20).map(float)), max_size=60),
            st.floats(min_value=0.0, max_value=1e6))
+    # finite draws summing past float max, and inf + -inf
+    @example(LOG2_BOUNDS, [1.7e308, 1.7e308], 0.0)
+    @example(LANE_BOUNDS, [1.7e308, 1.7e308], 1.0)
+    @example(LOG2_BOUNDS, [float("inf"), float("-inf")], 0.0)
     def test_observe_many_of_an_ndarray_equals_observe_each(self, bounds,
                                                             values, first):
         """An ndarray goes through the columnar path (frexp or searchsorted
-        buckets, an add.accumulate sum): state ``==`` N ``observe`` calls."""
+        buckets, an add.accumulate sum): state ``==`` N ``observe`` calls,
+        and no warning where the scalar path gives none."""
         one, many = Histogram("h", bounds), Histogram("h", bounds)
         for h in (one, many):
             h.observe(first)
@@ -167,7 +175,9 @@ class TestMetricPrimitives:
             with pytest.raises(type(exc)):
                 many.observe_many(np.array(values))
             return
-        many.observe_many(np.array(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many.observe_many(np.array(values))
         assert many.buckets == one.buckets
         for a, b in zip((many.count, many.sum, many.min, many.max),
                         (one.count, one.sum, one.min, one.max)):
@@ -297,7 +307,7 @@ class TestTraceModes:
         monkeypatch.setenv("REPRO_TRACE", mode)
 
         def fn(ctx, bulk):
-            reseed_span_ids(1)
+            restart_span_ids()
             for rnd in range(3):
                 outer = span(ctx, "outer") if nested else nullcontext()
                 with outer:
