@@ -23,7 +23,8 @@ Packages: :mod:`repro.pmemcpy` (the paper's library), :mod:`repro.baselines`
 (ADIOS/NetCDF-4/pNetCDF/HDF5/POSIX), :mod:`repro.pmdk` (pool, transactions,
 persistent hashtable), :mod:`repro.kernel` (DAX fs + MAP_SYNC model),
 :mod:`repro.mpi`, :mod:`repro.serial`, :mod:`repro.sim` (two-pass timing),
-:mod:`repro.workloads`, :mod:`repro.harness`, :mod:`repro.burst`.
+:mod:`repro.workloads`, :mod:`repro.harness`, :mod:`repro.crash`,
+:mod:`repro.perf`, :mod:`repro.service`, :mod:`repro.telemetry`.
 """
 
 from .cluster import Cluster

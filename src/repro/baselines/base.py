@@ -73,16 +73,6 @@ class PIODriver(ABC):
         """Span guard for the session ops (``open``/``define``/``close``)."""
         return span(ctx, f"driver.{kind}", driver=self.name, **attrs)
 
-    # legacy helpers (pre-guard drivers charged these at the top of the
-    # body, which billed ops that then failed) — kept for external callers
-    def note_write(self, ctx, array: np.ndarray) -> None:
-        record(ctx, "driver_write_ops")
-        record(ctx, "driver_write_bytes", int(array.nbytes))
-
-    def note_read(self, ctx, array) -> None:
-        record(ctx, "driver_read_ops")
-        record(ctx, "driver_read_bytes", int(np.asarray(array).nbytes))
-
     @abstractmethod
     def open(self, ctx, comm, path: str, mode: str) -> None:
         """Collective open; ``mode`` is ``"w"`` or ``"r"``."""

@@ -72,35 +72,6 @@ def dram_spec(capacity: int = 192 * GiB) -> DeviceSpec:
     )
 
 
-def nvme_spec(capacity: int = 2 * 10**12) -> DeviceSpec:
-    """A node-local NVMe SSD — the middle rung of the §1/§2.1 storage
-    hierarchy (PMEM > NVMe > PFS) that Hermes-style buffering manages."""
-    return DeviceSpec(
-        name="nvme",
-        read_latency_ns=80_000.0,
-        write_latency_ns=20_000.0,
-        read_bw=parse_bandwidth("3.2GB/s"),
-        write_bw=parse_bandwidth("2.0GB/s"),
-        stream_read_bw=parse_bandwidth("1.6GB/s"),
-        stream_write_bw=parse_bandwidth("1.0GB/s"),
-        capacity=capacity,
-    )
-
-
-def pfs_spec(capacity: int = 10**15) -> DeviceSpec:
-    """A shared parallel filesystem / burst-buffer backing store (E8)."""
-    return DeviceSpec(
-        name="pfs",
-        read_latency_ns=250_000.0,
-        write_latency_ns=400_000.0,
-        read_bw=parse_bandwidth("5GB/s"),
-        write_bw=parse_bandwidth("3GB/s"),
-        stream_read_bw=parse_bandwidth("1GB/s"),
-        stream_write_bw=parse_bandwidth("0.8GB/s"),
-        capacity=capacity,
-    )
-
-
 @dataclass(frozen=True)
 class CPUSpec:
     """CPU model: physical cores, SMT threads, and per-core throughputs for
@@ -165,8 +136,6 @@ class MachineSpec:
     network: NetworkSpec = field(default_factory=NetworkSpec)
     pmem: DeviceSpec = field(default_factory=pmem_spec)
     dram: DeviceSpec = field(default_factory=dram_spec)
-    nvme: DeviceSpec = field(default_factory=nvme_spec)
-    pfs: DeviceSpec = field(default_factory=pfs_spec)
 
     def cores_available(self, nranks: int) -> float:
         """Effective core count for ``nranks`` runnable threads, accounting

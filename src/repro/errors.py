@@ -19,10 +19,6 @@ class MemoryError_(ReproError):
     shadowing the builtin)."""
 
 
-class OutOfSpaceError(MemoryError_):
-    """A device, pool, or filesystem ran out of capacity."""
-
-
 class BadAddressError(MemoryError_):
     """An access fell outside a mapped region or device."""
 

@@ -13,8 +13,6 @@ from .memcpy import (
     charge_cpu,
     charge_dram_copy,
     charge_net,
-    charge_pfs_read,
-    charge_pfs_write,
     charge_pmem_read,
     charge_pmem_write,
     memcpy_dram_to_pmem,
@@ -27,8 +25,6 @@ __all__ = [
     "charge_cpu",
     "charge_dram_copy",
     "charge_net",
-    "charge_pfs_read",
-    "charge_pfs_write",
     "charge_pmem_read",
     "charge_pmem_write",
     "memcpy_dram_to_pmem",

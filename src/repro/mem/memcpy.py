@@ -102,20 +102,6 @@ def charge_net(ctx, model_bytes: float, messages: int = 1, note: str = "") -> No
     record(ctx, "net_bytes", model_bytes)
 
 
-def charge_pfs_write(ctx, model_bytes: float, note: str = "") -> None:
-    spec = ctx.machine.pfs
-    ctx.delay(spec.write_latency_ns, note=note)
-    ctx.transfer("pfs_write", model_bytes, spec.stream_write_bw, note=note)
-    _observe_access(ctx, "pfs_write", model_bytes)
-
-
-def charge_pfs_read(ctx, model_bytes: float, note: str = "") -> None:
-    spec = ctx.machine.pfs
-    ctx.delay(spec.read_latency_ns, note=note)
-    ctx.transfer("pfs_read", model_bytes, spec.stream_read_bw, note=note)
-    _observe_access(ctx, "pfs_read", model_bytes)
-
-
 # ---------------------------------------------------------------------------
 # Composite functional + charged copies
 # ---------------------------------------------------------------------------

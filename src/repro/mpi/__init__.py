@@ -15,12 +15,8 @@ two-party barrier plus paired transfers (documented approximation).
 from .comm import Communicator
 from .datatypes import subarray_run_starts, subarray_runs
 from .io import MPIFile, merge_extents
-# cart last: it reaches into repro.workloads for the grid math, which
-# circularly needs Communicator to already be bound here
-from .cart import CartComm
 
 __all__ = [
-    "CartComm",
     "Communicator",
     "subarray_runs",
     "subarray_run_starts",

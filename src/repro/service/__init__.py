@@ -16,7 +16,7 @@ without touching the library underneath:
   and perf-gated like everything else (``service.*`` scenarios);
 - :mod:`.server` — the asyncio front-end (``python -m repro.service
   serve``) and a multiplexing asyncio client that mints a per-call trace
-  id into the wire v2 trace-context extension;
+  id into the wire trace-context extension;
 - :mod:`.console` — the ``python -m repro.service top`` live view over
   the STATS/METRICS ops (flight recorder, counters, SLO percentiles);
 - :mod:`.loadgen` — a closed-loop load generator scaling to 10^6
@@ -31,7 +31,6 @@ and Prometheus exposition).
 
 from .core import ServiceConfig, ServiceCore
 from .shard import ShardRing
-from .wire import MIN_WIRE_VERSION, WIRE_VERSION
+from .wire import WIRE_VERSION
 
-__all__ = ["ServiceConfig", "ServiceCore", "ShardRing",
-           "WIRE_VERSION", "MIN_WIRE_VERSION"]
+__all__ = ["ServiceConfig", "ServiceCore", "ShardRing", "WIRE_VERSION"]

@@ -11,12 +11,15 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import struct
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from ..errors import ProtocolVersionError
+from . import wire
 from .core import ServiceConfig
 from .loadgen import (
     DEFAULT_SWEEP,
@@ -25,7 +28,7 @@ from .loadgen import (
     render_table,
     saturation_sweep,
 )
-from .server import ServiceClient, ServiceServer
+from .server import ServiceClient, ServiceServer, _read_frame
 
 
 def _service_config(ns) -> ServiceConfig:
@@ -86,6 +89,25 @@ def cmd_bench(ns) -> int:
     return 0
 
 
+async def _send_v1_frame(host: str, port: int):
+    """Send one raw version-1 PING frame on a fresh connection and return
+    what the server answered: the exception its ERR frame carries, the OK
+    body, or None when it hung up without a frame."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(struct.pack("!IBBQ", 10, 1, wire.OP_PING, 1))
+        await writer.drain()
+        payload = await _read_frame(reader)
+    finally:
+        writer.close()
+    if payload is None:
+        return None
+    frame = wire.decode_frame(payload)
+    if frame.kind == wire.RESP_ERR:
+        return wire.decode_error(frame.body)
+    return frame.body
+
+
 def cmd_smoke(ns) -> int:
     """Live-path gate: a real asyncio server, real multiplexing clients,
     a wall-clock budget; exits nonzero on any protocol error."""
@@ -131,7 +153,7 @@ def cmd_smoke(ns) -> int:
 
         # observability gate: live Prometheus page + flight-recorder dump
         # must validate, and the dump must re-render as a Chrome trace;
-        # a v1 (no trace context) client must still round-trip
+        # a version-1 frame must be refused with a typed error
         from ..telemetry import (
             flight_chrome_trace,
             validate_flight_dump,
@@ -147,17 +169,15 @@ def cmd_smoke(ns) -> int:
         trace_doc = flight_chrome_trace(dump)
         obs_errors += [f"chrome: {e}"
                        for e in validate_chrome_trace(trace_doc)]
-        v1 = await ServiceClient.connect("127.0.0.1", server.port,
-                                         version=1)
+        refused = await _send_v1_frame("127.0.0.1", server.port)
+        if not isinstance(refused, ProtocolVersionError):
+            obs_errors.append(f"v1 frame: answered {refused!r}, not "
+                              f"ProtocolVersionError")
+        v2 = await ServiceClient.connect("127.0.0.1", server.port)
         try:
-            await v1.ping()
-            await v1.store("smoke/v1", value)
-            v1_back = await v1.load("smoke/v1")
-            if not np.array_equal(v1_back, value):
-                obs_errors.append("v1 client: store/load round trip "
-                                  "mismatch")
+            await v2.ping()
         finally:
-            await v1.close()
+            await v2.close()
 
         for c in clients:
             await c.close()

@@ -18,11 +18,11 @@ reject path costs two wire frames and nothing else, which is why the
 saturation curve flattens instead of collapsing when 10^6 clients arrive.
 
 Observability (DESIGN.md §14): every request owns a **trace id** —
-client-minted and carried in the wire v2 trace-context extension, or
-server-minted (high bit set) for v1 peers — and every pipeline-stage span
-is tagged with it.  Engine spans come back from the shard already wrapped
-in per-request ``service.shard.request`` markers, so
-:meth:`ServiceCore._absorb_engine_spans` attributes them to their owning
+client-minted and carried in the wire trace-context extension, or
+server-minted (high bit set) for requests without a trace extension — and
+every pipeline-stage span is tagged with it.  Engine spans come back from
+the shard already wrapped in per-request ``service.shard.request`` markers,
+so :meth:`ServiceCore._absorb_engine_spans` attributes them to their owning
 request instead of bulk-rebasing anonymous batches.  Each finished
 request is offered to an always-on :class:`~repro.telemetry.flight.
 FlightRecorder` (tail sampling: errors/rejects/SLO violations always
@@ -142,10 +142,8 @@ class Envelope:
     t_accept: float = 0.0
     frame_bytes: int = 0
     #: the request's trace id — client-minted via the wire trace-context
-    #: extension, or server-minted (high bit set) for v1 peers
+    #: extension, or server-minted (high bit set) for requests without one
     trace_id: int = 0
-    #: wire version the client spoke; the response mirrors it
-    version: int = wire.WIRE_VERSION
     #: this request's spans, accumulated stage by stage across the
     #: pipeline for the flight recorder
     spans: list = field(default_factory=list)
@@ -183,7 +181,7 @@ class ServiceCore:
         record(self.ctx, name, amount)
 
     def _mint_trace(self) -> int:
-        """Server-minted trace id for peers that sent none (v1 clients).
+        """Server-minted trace id for requests without a trace extension.
 
         The high bit marks server-minted ids so dumps distinguish them
         from client-minted ones; the low bits are a core-local sequence,
@@ -248,8 +246,7 @@ class ServiceCore:
                         frame = wire.decode_frame(payload)
                         req = wire.decode_request(
                             frame.kind, frame.seq, frame.body,
-                            trace_id=frame.trace_id or 0,
-                            version=frame.version)
+                            trace_id=frame.trace_id or 0)
                 except ProtocolError:
                     self._count("service.protocol_errors")
                     raise
@@ -257,7 +254,7 @@ class ServiceCore:
                 if req.trace_id != tid:
                     req = dc_replace(req, trace_id=tid)
                 env = Envelope(req, t_accept=t0, frame_bytes=len(payload),
-                               trace_id=tid, version=req.version)
+                               trace_id=tid)
                 self._tag(env, dec)
                 self._tag(env, acc)
             return env
@@ -362,31 +359,24 @@ class ServiceCore:
 
     def _encode_response(self, env: Envelope, outcome) -> bytes:
         """Stage 5 (caller holds the lock): encode, charge, observe SLO,
-        then offer the finished request to the flight recorder.
-
-        The response mirrors the client's wire version — a v1 peer gets
-        a v1 frame with no trace extension, so v2 never leaks to peers
-        that cannot parse it."""
+        then offer the finished request to the flight recorder."""
         seq = env.req.seq
-        tid = env.trace_id if env.version >= 2 and env.trace_id else None
+        tid = env.trace_id or None
         status = "ok"
         if isinstance(outcome, BaseException):
-            resp = wire.encode_error(seq, outcome, version=env.version,
-                                     trace_id=tid)
+            resp = wire.encode_error(seq, outcome, trace_id=tid)
             if isinstance(outcome, ServiceOverloadedError):
                 status = "rejected"
             else:
                 status = f"error:{type(outcome).__name__}"
                 self._count("service.errors")
         elif outcome is None:
-            resp = wire.encode_ok_empty(seq, version=env.version,
-                                        trace_id=tid)
+            resp = wire.encode_ok_empty(seq, trace_id=tid)
         elif isinstance(outcome, (np.ndarray, np.generic, float, int)):
             resp = wire.encode_ok_array(seq, np.asarray(outcome),
-                                        version=env.version, trace_id=tid)
+                                        trace_id=tid)
         else:
-            resp = wire.encode_ok_json(seq, outcome, version=env.version,
-                                       trace_id=tid)
+            resp = wire.encode_ok_json(seq, outcome, trace_id=tid)
         with span(self.ctx, "service.encode", bytes=len(resp)) as sp:
             self.ctx.advance(wire_cost_ns(len(resp)))
             self._tag(env, sp)
@@ -418,11 +408,8 @@ class ServiceCore:
             env = self.accept(payload)
         except ProtocolError as exc:
             with self._lock:
-                # version 1: a frame too broken to identify its speaker
-                # gets the answer every peer can decode
                 return self._encode_response(
-                    Envelope(Request(OP_PING, 0), t_accept=self.ctx.lb_ns,
-                             version=1),
+                    Envelope(Request(OP_PING, 0), t_accept=self.ctx.lb_ns),
                     exc)
         local = self._handle_local(env)
         if local is not None:

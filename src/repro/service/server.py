@@ -119,16 +119,15 @@ class ServiceServer:
                     payload = await _read_frame(reader)
                 except ProtocolError as exc:
                     # framing desync is unrecoverable: answer and hang up
-                    # (v1 frame: every peer version can decode the error)
                     core._count("service.protocol_errors")
-                    _safe_write(writer, wire.encode_error(0, exc, version=1))
+                    _safe_write(writer, wire.encode_error(0, exc))
                     break
                 if payload is None:
                     break
                 try:
                     env = core.accept(payload)
                 except ProtocolError as exc:
-                    _safe_write(writer, wire.encode_error(0, exc, version=1))
+                    _safe_write(writer, wire.encode_error(0, exc))
                     continue
                 local = core._handle_local(env)
                 if local is not None:
@@ -189,33 +188,28 @@ class ServiceClient:
     round-tripped instance carries the same attributes
     (``retry_after_ms``, ``shard``, …) the server raised with.
 
-    Speaking ``version=2`` (the default), the client mints a **trace id**
-    per call — ``trace_base`` in the high word, the call's seq in the low
-    word, high bit clear (server-minted ids set it) — and sends it in the
-    wire trace-context extension; the id of the most recent call is kept
-    in ``last_trace_id`` so a caller can fish its own request out of a
-    flight-recorder dump.  ``version=1`` reproduces a legacy peer: no
-    extension byte on the wire, and the server answers in kind.
+    The client mints a **trace id** per call — ``trace_base`` in the high
+    word, the call's seq in the low word, high bit clear (server-minted ids
+    set it) — and sends it in the wire trace-context extension; the id of
+    the most recent call is kept in ``last_trace_id`` so a caller can fish
+    its own request out of a flight-recorder dump.
     """
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, *,
-                 version: int = wire.WIRE_VERSION, trace_base: int = 0):
+                 writer: asyncio.StreamWriter, *, trace_base: int = 0):
         self._reader = reader
         self._writer = writer
         self._seq = 0
         self._pending: dict[int, asyncio.Future] = {}
-        self.version = version
         self._trace_base = trace_base & 0x7FFFFFFF
         self.last_trace_id: int | None = None
         self._recv_task = asyncio.ensure_future(self._recv_loop())
 
     @classmethod
     async def connect(cls, host: str, port: int, *,
-                      version: int = wire.WIRE_VERSION,
                       trace_base: int = 0) -> "ServiceClient":
         reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, version=version, trace_base=trace_base)
+        return cls(reader, writer, trace_base=trace_base)
 
     async def close(self) -> None:
         self._recv_task.cancel()
@@ -240,24 +234,21 @@ class ServiceClient:
                         fut.set_exception(
                             ConnectionError("server closed the connection"))
                 return
-            kind, seq, body = wire.decode_frame_payload(payload)
-            fut = self._pending.pop(seq, None)
+            frame = wire.decode_frame(payload)
+            fut = self._pending.pop(frame.seq, None)
             if fut is None or fut.done():
                 continue
-            if kind == wire.RESP_ERR:
-                fut.set_exception(wire.decode_error(body))
+            if frame.kind == wire.RESP_ERR:
+                fut.set_exception(wire.decode_error(frame.body))
             else:
-                fut.set_result(body)
+                fut.set_result(frame.body)
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
 
-    def _mint_trace(self, seq: int, explicit: int | None = None
-                    ) -> int | None:
-        """The trace id for call ``seq`` (None when speaking v1)."""
-        if self.version < 2:
-            return None
+    def _mint_trace(self, seq: int, explicit: int | None = None) -> int:
+        """The trace id for call ``seq``."""
         tid = explicit if explicit is not None \
             else (self._trace_base << 32) | (seq & 0xFFFFFFFF)
         self.last_trace_id = tid
@@ -268,14 +259,14 @@ class ServiceClient:
     async def ping(self) -> None:
         seq = self._next_seq()
         await self._issue(seq, wire.encode_ping(
-            seq, version=self.version, trace_id=self._mint_trace(seq)))
+            seq, trace_id=self._mint_trace(seq)))
 
     async def store(self, name: str, array, offsets=None, *,
                     trace_id: int | None = None) -> None:
         seq = self._next_seq()
         await self._issue(seq, wire.encode_store(
             seq, name, array, offsets=offsets,
-            version=self.version, trace_id=self._mint_trace(seq, trace_id)))
+            trace_id=self._mint_trace(seq, trace_id)))
 
     async def load(self, name: str, offsets=None, dims=None, selection=None,
                    *, trace_id: int | None = None):
@@ -283,33 +274,31 @@ class ServiceClient:
         return await self._issue(
             seq, wire.encode_load(
                 seq, name, offsets=offsets, dims=dims, selection=selection,
-                version=self.version,
                 trace_id=self._mint_trace(seq, trace_id)))
 
     async def delete(self, name: str, *,
                      trace_id: int | None = None) -> None:
         seq = self._next_seq()
         await self._issue(seq, wire.encode_delete(
-            seq, name, version=self.version,
-            trace_id=self._mint_trace(seq, trace_id)))
+            seq, name, trace_id=self._mint_trace(seq, trace_id)))
 
     async def stats(self) -> dict:
         seq = self._next_seq()
         return await self._issue(seq, wire.encode_stats(
-            seq, version=self.version, trace_id=self._mint_trace(seq)))
+            seq, trace_id=self._mint_trace(seq)))
 
     async def metrics(self) -> str:
         """The server's live Prometheus text-format exposition page."""
         seq = self._next_seq()
         doc = await self._issue(seq, wire.encode_metrics(
-            seq, version=self.version, trace_id=self._mint_trace(seq)))
+            seq, trace_id=self._mint_trace(seq)))
         return doc["body"]
 
     async def flight(self) -> dict:
         """The server's flight-recorder ring (``repro-flight/1`` doc)."""
         seq = self._next_seq()
         return await self._issue(seq, wire.encode_flight(
-            seq, version=self.version, trace_id=self._mint_trace(seq)))
+            seq, trace_id=self._mint_trace(seq)))
 
     async def _issue(self, seq: int, frame: bytes):
         fut = asyncio.get_event_loop().create_future()

@@ -16,8 +16,8 @@ independent PMEM devices, filesystems, and metadata namespaces) plus a
 :class:`~repro.pmemcpy.api.PMEM` handle.  Work arrives as **batches** of
 decoded requests; the whole batch executes inside one single-rank SPMD
 run (one mmap/munmap round trip), which is where the service amortizes
-the engine's fixed costs — the same trick as the paper's burst-buffer
-drain, applied to RPC:
+the engine's fixed costs — the amortization a burst buffer's batched
+drain gets, applied to RPC:
 
 - *batching*: k queued requests share one engine run;
 - *coalescing*: when several whole-variable stores to the same variable

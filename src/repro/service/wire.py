@@ -3,22 +3,21 @@
 Layout (all integers big-endian)::
 
     u32 frame_len                  # bytes that follow the prefix
-    u8  version                    # 1 or 2; anything else -> typed error
+    u8  version                    # 2; anything else -> typed error
     u8  kind                       # request opcode / response kind
     u64 seq                        # request id, echoed in the response
-    [v2 only]
     u8  ext_flags                  # header extensions (bit0 = trace ctx)
     u64 trace_id                   # present iff ext_flags bit0 is set
     ...body                        # kind-specific
 
-Version 2 adds an **optional trace-context extension** after the fixed
-header: one flags byte, and — when bit0 is set — a 64-bit trace id that
+The fixed header is followed by an **optional trace-context extension**:
+one flags byte, and — when bit0 is set — a 64-bit trace id that
 correlates every span the request produces across the whole service stack
 (client → accept → decode → dispatch → shard batch → engine).  Unknown
 flag bits are a protocol error, which is what keeps future extensions
-honest.  A v2 endpoint still decodes v1 frames (no extension byte) and
-answers them with v1 frames, so old clients round-trip untouched; the
-server mints a trace id for requests that did not carry one.
+honest.  The server mints a trace id for requests that did not carry one.
+A frame of any other version is refused with
+:class:`~repro.errors.ProtocolVersionError`.
 
 Request bodies:
 
@@ -75,13 +74,11 @@ from ..pmemcpy.selection import Hyperslab, PointSelection, Selection
 from ..serial.base import dtype_from_token, dtype_to_token
 
 WIRE_VERSION = 2
-#: oldest version this side still decodes (v1: no header extensions)
-MIN_WIRE_VERSION = 1
 
 #: hard ceiling on one frame; larger is a protocol violation, not an OOM
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-# -- v2 header-extension flags ------------------------------------------------
+# -- header-extension flags ---------------------------------------------------
 
 EXT_TRACE = 0x01
 _KNOWN_EXT = EXT_TRACE
@@ -213,33 +210,21 @@ class Frame:
     kind: int
     seq: int
     body: bytes
-    version: int = WIRE_VERSION
-    #: the trace-context extension, when the peer sent one (v2 bit0)
+    #: the trace-context extension, when the peer sent one (bit0)
     trace_id: int | None = None
 
 
 def encode_frame(kind: int, seq: int, body: bytes = b"", *,
-                 version: int = WIRE_VERSION,
                  trace_id: int | None = None) -> bytes:
-    """One complete frame, length prefix included.
-
-    ``version=1`` emits the legacy header (no extension byte — what a v1
-    peer expects); ``trace_id`` rides the v2 trace-context extension and
-    is a protocol error on a v1 frame."""
-    if version == MIN_WIRE_VERSION:
-        if trace_id is not None:
-            raise ProtocolError("v1 frames cannot carry a trace id")
-        ext = b""
-    elif version == WIRE_VERSION:
-        if trace_id is None:
-            ext = b"\x00"
-        else:
-            if not 0 < trace_id < (1 << 64):
-                raise ProtocolError(f"trace id {trace_id} out of u64 range")
-            ext = bytes([EXT_TRACE]) + struct.pack("!Q", trace_id)
+    """One complete frame, length prefix included; ``trace_id`` rides the
+    trace-context extension."""
+    if trace_id is None:
+        ext = b"\x00"
     else:
-        raise ProtocolError(f"cannot encode wire version {version}")
-    payload = _HDR.pack(version, kind, seq) + ext + body
+        if not 0 < trace_id < (1 << 64):
+            raise ProtocolError(f"trace id {trace_id} out of u64 range")
+        ext = bytes([EXT_TRACE]) + struct.pack("!Q", trace_id)
+    payload = _HDR.pack(WIRE_VERSION, kind, seq) + ext + body
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES"
@@ -248,75 +233,28 @@ def encode_frame(kind: int, seq: int, body: bytes = b"", *,
 
 
 def decode_frame(payload: bytes) -> Frame:
-    """Decode a frame payload (prefix stripped), v1 or v2."""
+    """Decode a frame payload (prefix stripped)."""
     if len(payload) < _HDR.size:
         raise ProtocolError(f"frame too short ({len(payload)} bytes)")
     version, kind, seq = _HDR.unpack_from(payload)
-    if not MIN_WIRE_VERSION <= version <= WIRE_VERSION:
+    if version != WIRE_VERSION:
         raise ProtocolVersionError(version, WIRE_VERSION)
     off = _HDR.size
+    if len(payload) < off + 1:
+        raise ProtocolError("frame truncated before ext_flags")
+    flags = payload[off]
+    off += 1
+    if flags & ~_KNOWN_EXT:
+        raise ProtocolError(f"unknown header-extension flags 0x{flags:02x}")
     trace_id = None
-    if version >= 2:
-        if len(payload) < off + 1:
-            raise ProtocolError("v2 frame truncated before ext_flags")
-        flags = payload[off]
-        off += 1
-        if flags & ~_KNOWN_EXT:
-            raise ProtocolError(
-                f"unknown header-extension flags 0x{flags:02x}")
-        if flags & EXT_TRACE:
-            if len(payload) < off + 8:
-                raise ProtocolError("v2 frame truncated inside trace id")
-            (trace_id,) = struct.unpack_from("!Q", payload, off)
-            off += 8
+    if flags & EXT_TRACE:
+        if len(payload) < off + 8:
+            raise ProtocolError("frame truncated inside trace id")
+        (trace_id,) = struct.unpack_from("!Q", payload, off)
+        off += 8
     if kind not in _REQUEST_OPS and kind not in (RESP_OK, RESP_ERR):
         raise ProtocolError(f"unknown frame kind 0x{kind:02x}")
-    return Frame(kind, seq, payload[off:], version, trace_id)
-
-
-def decode_frame_payload(payload: bytes) -> tuple[int, int, bytes]:
-    """``(kind, seq, body)`` from a frame payload (prefix stripped).
-
-    Compatibility spelling of :func:`decode_frame` for callers that do not
-    consume the trace context."""
-    f = decode_frame(payload)
-    return f.kind, f.seq, f.body
-
-
-class FrameDecoder:
-    """Incremental frame splitter for a byte stream.
-
-    ``feed(data)`` returns the complete ``(kind, seq, body)`` tuples that
-    became available; partial frames are buffered.  Desync (oversized or
-    malformed length) raises :class:`ProtocolError` — the connection is
-    unrecoverable past that point.
-    """
-
-    __slots__ = ("_buf",)
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[tuple[int, int, bytes]]:
-        self._buf.extend(data)
-        out = []
-        while True:
-            if len(self._buf) < _LEN.size:
-                return out
-            (n,) = _LEN.unpack_from(self._buf)
-            if n > MAX_FRAME_BYTES:
-                raise ProtocolError(
-                    f"declared frame length {n} exceeds MAX_FRAME_BYTES"
-                )
-            if len(self._buf) < _LEN.size + n:
-                return out
-            payload = bytes(self._buf[_LEN.size:_LEN.size + n])
-            del self._buf[:_LEN.size + n]
-            out.append(decode_frame_payload(payload))
-
-    @property
-    def pending_bytes(self) -> int:
-        return len(self._buf)
+    return Frame(kind, seq, payload[off:], trace_id)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +274,6 @@ class Request:
     #: trace-context id correlating every span this request produces
     #: (0 until the service assigns/decodes one)
     trace_id: int = 0
-    #: wire version the request arrived in (responses echo it)
-    version: int = WIRE_VERSION
 
     @property
     def op_name(self) -> str:
@@ -349,7 +285,6 @@ class Request:
 
 
 def encode_store(seq: int, name: str, array, offsets=None, *,
-                 version: int = WIRE_VERSION,
                  trace_id: int | None = None) -> bytes:
     arr = np.ascontiguousarray(array)
     flags = 0x01 if offsets is not None else 0x00
@@ -363,8 +298,7 @@ def encode_store(seq: int, name: str, array, offsets=None, *,
             )
         body.append(struct.pack(f"!{arr.ndim}q", *offsets))
     body.append(arr.tobytes())
-    return encode_frame(OP_STORE, seq, b"".join(body),
-                        version=version, trace_id=trace_id)
+    return encode_frame(OP_STORE, seq, b"".join(body), trace_id=trace_id)
 
 
 def _encode_selection(sel: Selection) -> bytes:
@@ -414,7 +348,6 @@ def _decode_selection(r: _Reader) -> tuple[Selection | None,
 
 def encode_load(seq: int, name: str, offsets=None, dims=None,
                 selection: Selection | None = None, *,
-                version: int = WIRE_VERSION,
                 trace_id: int | None = None) -> bytes:
     body = [_pack_str(name)]
     if selection is not None:
@@ -433,39 +366,32 @@ def encode_load(seq: int, name: str, offsets=None, dims=None,
                     + struct.pack(f"!{len(dims)}q", *dims))
     else:
         body.append(bytes([SEL_WHOLE]))
-    return encode_frame(OP_LOAD, seq, b"".join(body),
-                        version=version, trace_id=trace_id)
+    return encode_frame(OP_LOAD, seq, b"".join(body), trace_id=trace_id)
 
 
-def encode_delete(seq: int, name: str, *, version: int = WIRE_VERSION,
+def encode_delete(seq: int, name: str, *,
                   trace_id: int | None = None) -> bytes:
-    return encode_frame(OP_DELETE, seq, _pack_str(name),
-                        version=version, trace_id=trace_id)
+    return encode_frame(OP_DELETE, seq, _pack_str(name), trace_id=trace_id)
 
 
-def encode_stats(seq: int, *, version: int = WIRE_VERSION,
-                 trace_id: int | None = None) -> bytes:
-    return encode_frame(OP_STATS, seq, version=version, trace_id=trace_id)
+def encode_stats(seq: int, *, trace_id: int | None = None) -> bytes:
+    return encode_frame(OP_STATS, seq, trace_id=trace_id)
 
 
-def encode_ping(seq: int, *, version: int = WIRE_VERSION,
-                trace_id: int | None = None) -> bytes:
-    return encode_frame(OP_PING, seq, version=version, trace_id=trace_id)
+def encode_ping(seq: int, *, trace_id: int | None = None) -> bytes:
+    return encode_frame(OP_PING, seq, trace_id=trace_id)
 
 
-def encode_metrics(seq: int, *, version: int = WIRE_VERSION,
-                   trace_id: int | None = None) -> bytes:
-    return encode_frame(OP_METRICS, seq, version=version, trace_id=trace_id)
+def encode_metrics(seq: int, *, trace_id: int | None = None) -> bytes:
+    return encode_frame(OP_METRICS, seq, trace_id=trace_id)
 
 
-def encode_flight(seq: int, *, version: int = WIRE_VERSION,
-                  trace_id: int | None = None) -> bytes:
-    return encode_frame(OP_FLIGHT, seq, version=version, trace_id=trace_id)
+def encode_flight(seq: int, *, trace_id: int | None = None) -> bytes:
+    return encode_frame(OP_FLIGHT, seq, trace_id=trace_id)
 
 
 def decode_request(kind: int, seq: int, body: bytes, *,
-                   trace_id: int = 0,
-                   version: int = WIRE_VERSION) -> Request:
+                   trace_id: int = 0) -> Request:
     """Decode one request frame body into a :class:`Request`."""
     r = _Reader(body)
     if kind == OP_STORE:
@@ -487,7 +413,7 @@ def decode_request(kind: int, seq: int, body: bytes, *,
             )
         arr = np.frombuffer(raw, dtype=dtype).reshape(dims)
         return Request(kind, seq, name, array=arr, offsets=offsets,
-                       trace_id=trace_id, version=version)
+                       trace_id=trace_id)
     if kind == OP_LOAD:
         name = r.string()
         selection, offsets, dims = _decode_selection(r)
@@ -495,14 +421,14 @@ def decode_request(kind: int, seq: int, body: bytes, *,
         if offsets is not None:
             selection = Hyperslab.from_block(offsets, dims)
         return Request(kind, seq, name, selection=selection,
-                       trace_id=trace_id, version=version)
+                       trace_id=trace_id)
     if kind == OP_DELETE:
         name = r.string()
         r.expect_end()
-        return Request(kind, seq, name, trace_id=trace_id, version=version)
+        return Request(kind, seq, name, trace_id=trace_id)
     if kind in (OP_STATS, OP_PING, OP_METRICS, OP_FLIGHT):
         r.expect_end()
-        return Request(kind, seq, trace_id=trace_id, version=version)
+        return Request(kind, seq, trace_id=trace_id)
     raise ProtocolError(f"frame kind 0x{kind:02x} is not a request")
 
 
@@ -510,28 +436,24 @@ def decode_request(kind: int, seq: int, body: bytes, *,
 # responses
 # ---------------------------------------------------------------------------
 
-def encode_ok_empty(seq: int, *, version: int = WIRE_VERSION,
-                    trace_id: int | None = None) -> bytes:
+def encode_ok_empty(seq: int, *, trace_id: int | None = None) -> bytes:
     return encode_frame(RESP_OK, seq, bytes([PAYLOAD_EMPTY]),
-                        version=version, trace_id=trace_id)
+                        trace_id=trace_id)
 
 
 def encode_ok_array(seq: int, array: np.ndarray, *,
-                    version: int = WIRE_VERSION,
                     trace_id: int | None = None) -> bytes:
     arr = np.ascontiguousarray(array)
     body = (bytes([PAYLOAD_ARRAY]) + _pack_str(dtype_to_token(arr.dtype))
             + bytes([arr.ndim]) + struct.pack(f"!{arr.ndim}I", *arr.shape)
             + arr.tobytes())
-    return encode_frame(RESP_OK, seq, body,
-                        version=version, trace_id=trace_id)
+    return encode_frame(RESP_OK, seq, body, trace_id=trace_id)
 
 
-def encode_ok_json(seq: int, doc, *, version: int = WIRE_VERSION,
-                   trace_id: int | None = None) -> bytes:
+def encode_ok_json(seq: int, doc, *, trace_id: int | None = None) -> bytes:
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     return encode_frame(RESP_OK, seq, bytes([PAYLOAD_JSON]) + blob,
-                        version=version, trace_id=trace_id)
+                        trace_id=trace_id)
 
 
 def decode_ok(body: bytes):
@@ -620,12 +542,11 @@ def _error_code_and_detail(exc: BaseException) -> tuple[int, dict]:
 
 
 def encode_error(seq: int, exc: BaseException, *,
-                 version: int = WIRE_VERSION,
                  trace_id: int | None = None) -> bytes:
     code, detail = _error_code_and_detail(exc)
     blob = json.dumps(detail, sort_keys=True).encode("utf-8")
     return encode_frame(RESP_ERR, seq, struct.pack("!H", code) + blob,
-                        version=version, trace_id=trace_id)
+                        trace_id=trace_id)
 
 
 def decode_error(body: bytes) -> Exception:

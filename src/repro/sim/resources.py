@@ -17,8 +17,6 @@ name             meaning / units
 ``dram``         bytes moved DRAM→DRAM (staging copies; cap = copy BW)
 ``net``          bytes through the intra-node MPI transport
 ``cpu``          core-nanoseconds of serialization/compute work
-``pfs_read``     bytes read from the parallel filesystem (burst buffer)
-``pfs_write``    bytes written to the parallel filesystem
 ===============  ========================================================
 """
 
@@ -88,9 +86,5 @@ def build_standard_resources(machine: MachineSpec) -> ResourceSet:
             Resource("dram", _const(dram_copy_bw)),
             Resource("net", _const(machine.network.aggregate_bw)),
             Resource("cpu", cpu_capacity),
-            Resource("nvme_read", _const(machine.nvme.read_bw)),
-            Resource("nvme_write", _const(machine.nvme.write_bw)),
-            Resource("pfs_read", _const(machine.pfs.read_bw)),
-            Resource("pfs_write", _const(machine.pfs.write_bw)),
         ]
     )

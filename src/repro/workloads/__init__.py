@@ -4,7 +4,6 @@ decomposition math, generators, and a checkpoint/restart driver."""
 from .decomp import block_decompose, factor3, proc_grid
 from .domain3d import Domain3D
 from .checkpoint import read_job, write_job
-from .ckpt_manager import CheckpointManager
 
 __all__ = [
     "factor3",
@@ -13,5 +12,4 @@ __all__ = [
     "Domain3D",
     "write_job",
     "read_job",
-    "CheckpointManager",
 ]

@@ -18,7 +18,6 @@ FAST_EXAMPLES = [
     "crash_recovery.py",
     "hierarchical_layout.py",
     "particle_checkpoint.py",
-    "dstore_wal.py",
     "query_by_characteristics.py",
     "api_complexity/write_pmemcpy.py",
     "api_complexity/write_hdf5.py",
@@ -28,8 +27,6 @@ FAST_EXAMPLES = [
 
 SLOW_EXAMPLES = [
     "s3d_checkpoint_restart.py",
-    "burst_buffer_drain.py",
-    "autotune_config.py",
 ]
 
 

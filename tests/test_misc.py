@@ -1,12 +1,11 @@
-"""Coverage for the smaller public surfaces: pMEMCPY stats, burst-buffer
-analysis, cluster lifecycle, config specs."""
+"""Coverage for the smaller public surfaces: pMEMCPY stats, cluster
+lifecycle, config specs."""
 
 import numpy as np
 import pytest
 
-from repro.burst import BurstBuffer
 from repro.cluster import Cluster
-from repro.config import DEFAULT_MACHINE, nvme_spec, pmem_spec
+from repro.config import DEFAULT_MACHINE, dram_spec, pmem_spec
 from repro.mpi import Communicator
 from repro.pmemcpy import PMEM
 from repro.units import GiB, MiB
@@ -68,23 +67,6 @@ class TestPmemcpyStats:
         assert "heap" not in st
 
 
-class TestBurstAnalysis:
-    def test_report_fields(self):
-        bb = BurstBuffer()
-        rep = bb.analyze(40e9, write_seconds=5.0, movers=8)
-        assert rep.drain_seconds > rep.write_seconds
-        assert rep.min_checkpoint_period_s == rep.drain_seconds
-        assert rep.speedup_vs_direct() > 1.0
-
-    def test_movers_saturate_pfs(self):
-        bb = BurstBuffer()
-        # beyond the PFS ingest limit extra movers stop helping
-        t4 = bb.drain_seconds(40e9, movers=4)
-        t16 = bb.drain_seconds(40e9, movers=16)
-        assert t16 == pytest.approx(t4)
-        assert bb.drain_seconds(40e9, movers=1) > t4
-
-
 class TestClusterLifecycle:
     def test_default_capacity_clamped(self):
         cl = Cluster()  # scale=1 would naively be 80 GiB
@@ -130,12 +112,9 @@ class TestClusterLifecycle:
 class TestSpecs:
     def test_machine_hierarchy_ordering(self):
         m = DEFAULT_MACHINE
-        # the §1 hierarchy: node-local aggregate bandwidth ordering
-        # (a shared PFS can out-aggregate one NVMe, so it's excluded)...
-        assert m.dram.write_bw > m.pmem.write_bw > m.nvme.write_bw
-        # ...and the full chain orders by latency
-        assert (m.dram.write_latency_ns < m.pmem.write_latency_ns
-                < m.nvme.write_latency_ns < m.pfs.write_latency_ns)
+        # the §1 hierarchy: DRAM above PMEM in bandwidth and latency
+        assert m.dram.write_bw > m.pmem.write_bw
+        assert m.dram.write_latency_ns < m.pmem.write_latency_ns
         # and the paper's asymmetry: PMEM reads much faster than writes
         assert m.pmem.read_bw > 3 * m.pmem.write_bw
 
@@ -154,4 +133,4 @@ class TestSpecs:
 
     def test_machine_is_frozen(self):
         with pytest.raises(Exception):
-            DEFAULT_MACHINE.pmem = nvme_spec()
+            DEFAULT_MACHINE.pmem = dram_spec()

@@ -1,9 +1,10 @@
-"""Request-correlated observability: wire v2 trace context, per-request
+"""Request-correlated observability: the wire trace context, per-request
 span attribution, the flight recorder, Prometheus exposition, the
 ``--json`` report, and the live-server acceptance path."""
 
 import asyncio
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.errors import (
 from repro.service import wire
 from repro.service.console import render_top
 from repro.service.core import ServiceConfig, ServiceCore
-from repro.service.server import ServiceClient, ServiceServer
+from repro.service.server import ServiceClient, ServiceServer, _read_frame
 from repro.telemetry import MetricRegistry
 from repro.telemetry.export import validate_chrome_trace
 from repro.telemetry.flight import (
@@ -33,31 +34,31 @@ from repro.telemetry.prometheus import (
 )
 
 # ---------------------------------------------------------------------------
-# wire v2: trace-context extension + back compat
+# wire: trace-context extension + version refusal
 # ---------------------------------------------------------------------------
 
 
 def test_v2_frame_carries_trace_id():
     raw = wire.encode_frame(wire.OP_PING, 9, trace_id=0xDEADBEEF)
     f = wire.decode_frame(raw[4:])
-    assert (f.version, f.kind, f.seq) == (2, wire.OP_PING, 9)
+    assert (f.kind, f.seq) == (wire.OP_PING, 9)
     assert f.trace_id == 0xDEADBEEF
 
 
 def test_v2_frame_without_trace_has_zero_ext():
     raw = wire.encode_frame(wire.OP_PING, 9)
     f = wire.decode_frame(raw[4:])
-    assert f.version == 2 and f.trace_id is None
+    assert f.trace_id is None
+    assert raw[4] == wire.WIRE_VERSION == 2
     # exactly one ext byte between header and (empty) body
     assert len(raw) == 4 + 1 + 1 + 8 + 1
 
 
-def test_v1_frame_roundtrip_and_trace_rejection():
-    raw = wire.encode_frame(wire.OP_PING, 3, version=1)
-    f = wire.decode_frame(raw[4:])
-    assert f.version == 1 and f.trace_id is None
-    with pytest.raises(ProtocolError):
-        wire.encode_frame(wire.OP_PING, 3, version=1, trace_id=7)
+def test_v1_frame_is_refused_with_version_error():
+    v1_header = struct.pack("!BBQ", 1, wire.OP_PING, 3)
+    with pytest.raises(ProtocolVersionError) as ei:
+        wire.decode_frame(v1_header)
+    assert (ei.value.theirs, ei.value.ours) == (1, 2)
 
 
 def test_unknown_ext_flags_rejected():
@@ -94,16 +95,15 @@ def test_metrics_and_flight_ops_decode():
                              (wire.encode_flight, wire.OP_FLIGHT, "flight")):
         f = wire.decode_frame(encode(5, trace_id=77)[4:])
         req = wire.decode_request(f.kind, f.seq, f.body,
-                                  trace_id=f.trace_id, version=f.version)
+                                  trace_id=f.trace_id)
         assert req.op == op and req.op_name == name
-        assert req.trace_id == 77 and req.version == 2
+        assert req.trace_id == 77
 
 
 def test_store_roundtrip_preserves_trace_id():
     a = np.arange(12, dtype=np.float32)
     f = wire.decode_frame(wire.encode_store(4, "v", a, trace_id=0xABC)[4:])
-    req = wire.decode_request(f.kind, f.seq, f.body,
-                              trace_id=f.trace_id, version=f.version)
+    req = wire.decode_request(f.kind, f.seq, f.body, trace_id=f.trace_id)
     assert req.trace_id == 0xABC
     assert np.array_equal(req.array, a)
 
@@ -161,15 +161,15 @@ def test_engine_spans_form_one_connected_tree():
     assert cur is stage or marker.parent_id == stage.span_id
 
 
-def test_v1_client_gets_v1_response_and_server_minted_trace():
+def test_untraced_request_gets_server_minted_trace():
     core = ServiceCore(ServiceConfig(nshards=1, flight_sample_every=1))
     a = np.arange(16, dtype=np.float64)
-    resp = core.handle_payload(wire.encode_store(1, "v", a, version=1)[4:])
+    resp = core.handle_payload(wire.encode_store(1, "v", a)[4:])
     f = wire.decode_frame(resp[4:])
-    assert f.version == 1 and f.trace_id is None
     assert wire.decode_ok(f.body) is None
     (rec,) = core.flight.records()
     assert rec.trace_id >> 63 == 1  # server-minted ids set the high bit
+    assert f.trace_id == rec.trace_id  # and the response carries it
     assert any(s.name == "service.accept" for s in rec.spans)
 
 
@@ -475,15 +475,21 @@ def test_live_server_flight_records_slow_request_end_to_end():
         assert sum(r["kept"] == "sample" for r in others) <= 1
         assert dump["offered"] > dump["kept"]
 
-        # v1 client: no trace extension on the wire, full round trip
-        v1 = await ServiceClient.connect("127.0.0.1", server.port,
-                                         version=1)
-        await v1.ping()
-        await v1.store("v1/key", small)
-        back = await v1.load("v1/key")
-        assert np.array_equal(back, small)
-        assert v1.last_trace_id is None
-        await v1.close()
+        # a raw version-1 frame is answered with a typed refusal ...
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        writer.write(struct.pack("!IBBQ", 10, 1, wire.OP_PING, 1))
+        await writer.drain()
+        f = wire.decode_frame(await _read_frame(reader))
+        writer.close()
+        assert f.kind == wire.RESP_ERR
+        err = wire.decode_error(f.body)
+        assert isinstance(err, ProtocolVersionError)
+        assert (err.theirs, err.ours) == (1, 2)
+        # ... and a v2 ping on a new connection still succeeds
+        v2 = await ServiceClient.connect("127.0.0.1", server.port)
+        await v2.ping()
+        await v2.close()
 
         await client.close()
         await server.close()

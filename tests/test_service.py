@@ -3,6 +3,7 @@ sharding, write coalescing, admission control, typed-error round-trips,
 the asyncio front-end, and the virtual-time load generator."""
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from repro.service.loadgen import (
     render_table,
     saturation_sweep,
 )
-from repro.service.server import ServiceClient, ServiceServer
+from repro.service.server import ServiceClient, ServiceServer, _read_frame
 from repro.service.shard import ShardExecutor
-from repro.service.wire import FrameDecoder, Request
+from repro.service.wire import Request
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +35,8 @@ from repro.service.wire import FrameDecoder, Request
 
 def _decode(frame: bytes):
     """kind, seq, body of a full frame (length prefix included)."""
-    return wire.decode_frame_payload(frame[4:])
+    f = wire.decode_frame(frame[4:])
+    return f.kind, f.seq, f.body
 
 
 def test_wire_store_roundtrip():
@@ -85,7 +87,7 @@ def test_wire_version_mismatch_is_typed():
     frame = bytearray(wire.encode_ping(1))
     frame[4] = wire.WIRE_VERSION + 9  # corrupt the version byte
     with pytest.raises(ProtocolVersionError) as ei:
-        wire.decode_frame_payload(bytes(frame[4:]))
+        wire.decode_frame(bytes(frame[4:]))
     assert ei.value.theirs == wire.WIRE_VERSION + 9
     assert ei.value.ours == wire.WIRE_VERSION
 
@@ -104,17 +106,53 @@ def test_wire_truncated_and_trailing_bytes_rejected():
         wire.decode_request(kind, seq, body[:-8])
 
 
-def test_frame_decoder_reassembles_byte_stream():
+def test_read_frame_reassembles_byte_stream():
     frames = (wire.encode_ping(1)
               + wire.encode_store(2, "v", np.arange(4, dtype=np.float64))
               + wire.encode_stats(3))
-    dec = FrameDecoder()
-    out = []
-    for i in range(0, len(frames), 7):  # drip-feed in 7-byte slivers
-        out.extend(dec.feed(frames[i:i + 7]))
-    assert [seq for _, seq, _ in out] == [1, 2, 3]
-    assert [kind for kind, _, _ in out] == [
+
+    async def main():
+        reader = asyncio.StreamReader()
+
+        async def drip():  # 7-byte slivers, yielding between each
+            for i in range(0, len(frames), 7):
+                reader.feed_data(frames[i:i + 7])
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.ensure_future(drip())
+        out = []
+        while (payload := await _read_frame(reader)) is not None:
+            out.append(wire.decode_frame(payload))
+        await feeder
+        return out
+
+    out = _run_async(main())
+    assert [f.seq for f in out] == [1, 2, 3]
+    assert [f.kind for f in out] == [
         wire.OP_PING, wire.OP_STORE, wire.OP_STATS]
+
+
+def test_read_frame_refuses_oversized_length_before_the_body():
+    async def main():
+        reader = asyncio.StreamReader()
+        # no body and no EOF follow: reading one would block until timeout
+        reader.feed_data(struct.pack("!I", wire.MAX_FRAME_BYTES + 1))
+        await asyncio.wait_for(_read_frame(reader), timeout=5)
+
+    with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
+        _run_async(main())
+
+
+@pytest.mark.parametrize("cut", [2, 4, 9])
+def test_read_frame_returns_none_at_eof_mid_frame(cut):
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire.encode_ping(1)[:cut])
+        reader.feed_eof()
+        return await _read_frame(reader)
+
+    assert _run_async(main()) is None
 
 
 def test_error_frames_roundtrip_typed_attributes():
@@ -351,16 +389,15 @@ def test_server_survives_protocol_garbage():
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", server.port)
         # valid length prefix, garbage payload: typed error, conn alive
-        import struct
-        bad = b"\x01\xff" + b"junk" * 3
+        bad = bytes([wire.WIRE_VERSION, 0xff]) + b"junk" * 3
         writer.write(struct.pack("!I", len(bad)) + bad)
         await writer.drain()
         hdr = await reader.readexactly(4)
         (n,) = struct.unpack("!I", hdr)
         payload = await reader.readexactly(n)
-        kind, seq, body = wire.decode_frame_payload(payload)
-        assert kind == wire.RESP_ERR
-        assert isinstance(wire.decode_error(body), ProtocolError)
+        f = wire.decode_frame(payload)
+        assert f.kind == wire.RESP_ERR
+        assert isinstance(wire.decode_error(f.body), ProtocolError)
         writer.close()
         # the server still serves new connections afterwards
         client = await ServiceClient.connect("127.0.0.1", server.port)
