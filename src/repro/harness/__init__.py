@@ -1,9 +1,10 @@
 """Experiment harness: runs the paper's evaluations against the simulated
 node and renders/exports the resulting tables and figures.
 
-``python -m repro.harness <fig6|fig7|api|breakdown|...>`` regenerates each
-artifact from the command line; the ``benchmarks/`` tree drives the same
-entry points under pytest.
+``python -m repro.harness <fig6|fig7|api|breakdown|...|all>`` is the one
+generator of every paper and ablation artifact under ``results/``
+(:mod:`.artifacts`); it checks the claims each artifact carries (the
+Fig. 6/7 bands live in :mod:`.claims`) and exits non-zero on a violation.
 """
 
 from .experiment import (

@@ -1,19 +1,27 @@
-"""CLI: regenerate the paper's tables and figures.
+"""CLI: regenerate the paper's tables, figures and ablations, and check the
+claims each one carries.
 
 Usage::
 
-    python -m repro.harness fig6            # write perf (Fig. 6)
-    python -m repro.harness fig7            # read perf (Fig. 7)
+    python -m repro.harness fig6            # Figs. 6 + 7 from one sweep
+    python -m repro.harness fig7            # (same sweep, both figures)
     python -m repro.harness api             # §3 API complexity table
     python -m repro.harness breakdown       # E7 copy-path decomposition
-    python -m repro.harness utilization     # per-library resource bottlenecks
-    python -m repro.harness all
-    options: --procs 8,16,24,32,48  --axis-scale 12  --out results/
+    python -m repro.harness mapsync         # E4 (also: serializers, layouts,
+                                            # collective_io, fill_ablation,
+                                            # compression, aggregation,
+                                            # partial_reads)
+    python -m repro.harness all             # every artifact above
+    options: --procs 8,16,24,32,48  --axis-scale 10  --out results/
              --profile   # print per-job I/O metric tables
              --trace-out DIR    # one Chrome/Perfetto trace JSON per job
              --metrics-out FILE # per-job typed metric registries (JSON)
              --critpath-out DIR # one repro-critpath/1 JSON per job
              --flame-out DIR    # one folded flamegraph stack file per job
+
+Each artifact is written to ``--out`` as ``<name>.csv`` and ``<name>.txt``.
+The exit status is 1 when any checked claim is violated; a figure claim is
+checked only when ``--procs`` contains every process count it names.
 """
 
 from __future__ import annotations
@@ -21,35 +29,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from ..workloads import Domain3D
-from .experiment import (
-    PAPER_PROC_COUNTS,
-    breakdown_experiment,
-    run_sweep,
-    series_from,
-)
-from .figures import ascii_chart, render_table, series_to_rows, write_csv
-from .tokens import count_file_metrics
-
-#: the paper's own counts for the equivalent C/C++ programs (§3)
-PAPER_API_COUNTS = {
-    "pmemcpy": {"lines": 16, "tokens": 132},
-    "hdf5": {"lines": 42, "tokens": 253},
-    "adios": {"lines": 24, "tokens": 164},
-}
+from .artifacts import ARTIFACTS, GENERATORS, figures, mapsync
+from .experiment import PAPER_PROC_COUNTS, JobResult, run_sweep
 
 
-def _workload(args) -> Domain3D:
-    return Domain3D(axis_scale=args.axis_scale)
-
-
-def cmd_figures(args, directions) -> None:
-    workload = _workload(args)
-    procs = tuple(int(p) for p in args.procs.split(","))
-    results = run_sweep(
-        proc_counts=procs, workload=workload, directions=directions
-    )
+def export_telemetry(args, results: list[JobResult]) -> None:
+    """The per-job profile/trace/critpath/flame/metrics side outputs."""
     if args.profile:
         from ..telemetry import MetricRegistry
 
@@ -96,91 +84,12 @@ def cmd_figures(args, directions) -> None:
         doc = {r.job_id(): r.metrics for r in results}
         write_json(args.metrics_out, doc)
         print(f"[metrics] {args.metrics_out}")
-    for direction, fig in (("write", "fig6"), ("read", "fig7")):
-        if direction not in directions:
-            continue
-        series = series_from(results, direction)
-        title = (
-            f"Fig. {'6' if direction == 'write' else '7'}: "
-            f"{direction} time of a "
-            f"{workload.model_total_bytes / 1e9:.0f} GB 3-D domain "
-            f"(modeled seconds)"
-        )
-        print(ascii_chart(title, series))
-        print()
-        rows = series_to_rows(series)
-        path = write_csv(
-            os.path.join(args.out, f"{fig}_{direction}.csv"),
-            ["library", "nprocs", "seconds"],
-            rows,
-        )
-        print(f"[csv] {path}")
-        print(render_table(title, ["library", "nprocs", "seconds"], rows))
-        print()
-
-
-def cmd_api(args) -> None:
-    base = os.path.join(os.path.dirname(__file__), "..", "..", "..",
-                        "examples", "api_complexity")
-    base = os.path.normpath(base)
-    rows = []
-    for lib in ("pmemcpy", "adios", "hdf5", "pnetcdf"):
-        path = os.path.join(base, f"write_{lib}.py")
-        if not os.path.exists(path):
-            continue
-        m = count_file_metrics(path)
-        paper = PAPER_API_COUNTS.get(lib, {})
-        rows.append((
-            lib, m["lines"], m["tokens"],
-            paper.get("lines", "-"), paper.get("tokens", "-"),
-        ))
-    table = render_table(
-        "E3: API complexity — equivalent parallel 1-D array write",
-        ["library", "lines (ours)", "tokens (ours)",
-         "lines (paper)", "tokens (paper)"],
-        rows,
-    )
-    print(table)
-    write_csv(
-        os.path.join(args.out, "api_complexity.csv"),
-        ["library", "lines_ours", "tokens_ours", "lines_paper", "tokens_paper"],
-        rows,
-    )
-
-
-def cmd_breakdown(args) -> None:
-    res = breakdown_experiment(nprocs=24, workload=_workload(args))
-    for label, dirs in res.items():
-        for direction, pb in dirs.items():
-            print(pb.render(f"{label} {direction} @24 procs"))
-            print()
-
-
-def cmd_utilization(args) -> None:
-    from ..config import DEFAULT_MACHINE
-    from ..sim import build_standard_resources, utilization
-    from ..workloads import read_job, write_job
-    from .experiment import PAPER_LIBRARIES, _cluster_for
-
-    workload = _workload(args)
-    resources = build_standard_resources(DEFAULT_MACHINE)
-    for label, (driver, kw) in PAPER_LIBRARIES.items():
-        cl = _cluster_for(workload, DEFAULT_MACHINE)
-        res_w = cl.run(
-            24, lambda ctx: write_job(ctx, workload, driver, "/pmem/u", kw)
-        )
-        res_r = cl.run(
-            24, lambda ctx: read_job(ctx, workload, driver, "/pmem/u", kw)
-        )
-        for direction, res in (("write", res_w), ("read", res_r)):
-            u = utilization(res.traces, res.time(), resources)
-            print(u.render(f"{label} {direction} @24 procs"))
-            print()
 
 
 def main(argv=None) -> int:
+    commands = sorted(set(ARTIFACTS.values())) + ["all"]
     ap = argparse.ArgumentParser(prog="repro.harness", description=__doc__)
-    ap.add_argument("command", choices=["fig6", "fig7", "api", "breakdown", "utilization", "all"])
+    ap.add_argument("command", choices=commands)
     ap.add_argument("--procs", default=",".join(map(str, PAPER_PROC_COUNTS)))
     ap.add_argument("--axis-scale", type=int, default=10,
                     help="shrink factor per axis for the functional pass")
@@ -197,21 +106,31 @@ def main(argv=None) -> int:
                     help="write one folded flamegraph stack file per job")
     args = ap.parse_args(argv)
 
-    if args.command == "fig6":
-        cmd_figures(args, ("write",))
-    elif args.command == "fig7":
-        cmd_figures(args, ("read",))
-    elif args.command == "api":
-        cmd_api(args)
-    elif args.command == "breakdown":
-        cmd_breakdown(args)
-    elif args.command == "utilization":
-        cmd_utilization(args)
-    else:
-        cmd_figures(args, ("write", "read"))
-        cmd_api(args)
-        cmd_breakdown(args)
-    return 0
+    workload = Domain3D(axis_scale=args.axis_scale)
+    artifacts = []
+    sweep: list[JobResult] = []
+    if args.command in ("fig6", "fig7", "all"):
+        sweep = run_sweep(
+            proc_counts=tuple(int(p) for p in args.procs.split(",")),
+            workload=workload,
+        )
+        export_telemetry(args, sweep)
+        artifacts += figures(sweep, workload)
+    generators = {**GENERATORS, "mapsync": partial(mapsync, sweep=sweep)}
+    for name, generate in generators.items():
+        if args.command in (name, "all"):
+            artifacts.append(generate(workload))
+
+    os.makedirs(args.out, exist_ok=True)
+    failed = []
+    for art in artifacts:
+        art.write(args.out)
+        print(art.render())
+        print(f"[saved] {os.path.join(args.out, art.name)}.{{csv,txt}}\n")
+        failed += [f"{art.name}: {claim}" for claim in art.failed]
+    for line in failed:
+        print(f"VIOLATED {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ bytes when data compresses.  Filters compose into pipelines
 Note the architectural trade pMEMCPY faces: its fast path serializes
 *streaming* into PMEM, but a compressor needs the whole buffer — so a
 filtered store pays one DRAM staging pass in exchange for writing fewer
-PMEM bytes.  `bench_compression.py` measures when that wins.
+PMEM bytes.  `python -m repro.harness compression` measures when that wins.
 """
 
 from __future__ import annotations

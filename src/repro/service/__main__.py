@@ -26,9 +26,14 @@ from .loadgen import (
     LoadgenConfig,
     render_csv,
     render_table,
+    saturation_checks,
     saturation_sweep,
 )
 from .server import ServiceClient, ServiceServer, _read_frame
+
+
+#: what ``bench`` writes under ``--out``
+SATURATION_FILES = ("service_saturation.csv", "service_saturation.txt")
 
 
 def _service_config(ns) -> ServiceConfig:
@@ -78,15 +83,27 @@ def cmd_bench(ns) -> int:
     print(table)
     outdir = Path(ns.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "service_saturation.csv").write_text(render_csv(reports))
-    (outdir / "service_saturation.txt").write_text(table)
-    print(f"wrote {outdir / 'service_saturation.csv'} and .txt")
-    bad = [r for r in reports if r.protocol_errors]
-    if bad:
-        print(f"FAIL: protocol errors at {[r.clients for r in bad]}",
-              file=sys.stderr)
-        return 1
-    return 0
+    csv_name, txt_name = SATURATION_FILES
+    (outdir / csv_name).write_text(render_csv(reports))
+    (outdir / txt_name).write_text(table)
+    print(f"wrote {outdir / csv_name} and {txt_name}")
+    checks = saturation_checks(reports)
+    checks.append(("gated RPC scenarios record store and load latency",
+                   {"store", "load"} <= _rpc_endpoints()))
+    failed = [claim for claim, ok in checks if not ok]
+    for claim in failed:
+        print(f"FAIL: {claim}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+def _rpc_endpoints() -> set[str]:
+    """Endpoints with a latency histogram in the two perf-gated RPC
+    scenarios (``results/perf_baseline.json`` pins their modeled cost)."""
+    from ..perf.scenarios import get
+
+    return {name.removeprefix("service.rpc.")
+            for scenario in ("service.rpc_store", "service.rpc_load_partial")
+            for name in get(scenario).run()["latency"]}
 
 
 async def _send_v1_frame(host: str, port: int):

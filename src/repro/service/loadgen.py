@@ -329,6 +329,26 @@ def saturation_sweep(client_counts=DEFAULT_SWEEP, *,
     return out
 
 
+def saturation_checks(reports: list[LoadReport]) -> list[tuple[str, bool]]:
+    """(claim, holds) over a sweep: the pipeline stays clean at every fleet
+    size, 100 clients shed nothing and 100 000 clients shed most of their
+    load.  A fleet-size claim is checked only when the sweep has that size."""
+    by = {r.clients: r for r in reports}
+    checks = [
+        ("zero protocol errors at every fleet size",
+         all(r.protocol_errors == 0 for r in reports)),
+        ("every fleet size completes requests",
+         all(r.completed > 0 for r in reports)),
+    ]
+    if 100 in by:
+        checks.append(("100 clients: nothing rejected",
+                       by[100].reject_rate == 0.0))
+    if 100_000 in by:
+        checks.append(("100000 clients: > 50% rejected",
+                       by[100_000].reject_rate > 0.5))
+    return checks
+
+
 def render_csv(reports: list[LoadReport]) -> str:
     rows = [r.to_row() for r in reports]
     cols = list(rows[0].keys())

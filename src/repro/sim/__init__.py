@@ -24,7 +24,7 @@ from .lockcheck import (
     LockViolation,
     check_lock_discipline,
 )
-from .stats import PhaseBreakdown, Utilization, summarize, utilization
+from .stats import PhaseBreakdown, summarize
 
 __all__ = [
     "Acquire",
@@ -47,7 +47,5 @@ __all__ = [
     "ThreadEngine",
     "run_spmd",
     "PhaseBreakdown",
-    "Utilization",
     "summarize",
-    "utilization",
 ]

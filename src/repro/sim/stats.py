@@ -1,4 +1,4 @@
-"""Result summarization: phase/resource breakdowns and tabular rendering."""
+"""Result summarization: phase/bucket breakdowns and tabular rendering."""
 
 from __future__ import annotations
 
@@ -43,47 +43,3 @@ def summarize(result: FluidResult) -> PhaseBreakdown:
         phases=result.phase_totals(),
         detail=detail,
     )
-
-
-@dataclass
-class Utilization:
-    """How much of each resource's capacity the run actually used."""
-
-    makespan_ns: float
-    #: resource -> (total units moved, mean fraction of capacity consumed)
-    per_resource: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def render(self, title: str = "resource utilization") -> str:
-        lines = [f"== {title} (makespan {fmt_time(self.makespan_ns)}) =="]
-        for name in sorted(
-            self.per_resource, key=lambda n: -self.per_resource[n][1]
-        ):
-            amount, frac = self.per_resource[name]
-            bar = "#" * round(30 * min(frac, 1.0))
-            lines.append(
-                f"  {name:<12} {frac * 100:5.1f}% {bar:<30} "
-                f"({amount:.3g} units)"
-            )
-        return "\n".join(lines)
-
-
-def utilization(traces, result: FluidResult, resources) -> Utilization:
-    """Aggregate per-resource demand from ``traces`` against each resource's
-    capacity over the run's makespan.  A resource near 100% is the
-    bottleneck; one near 0% is idle — the Fig. 6 story in one table
-    (pMEMCPY saturates ``pmem_write``; NetCDF splits time across ``net``
-    and ``dram`` instead)."""
-    from .trace import Transfer
-
-    totals: dict[str, float] = {}
-    for t in traces:
-        for op in t.ops:
-            if isinstance(op, Transfer):
-                totals[op.resource] = totals.get(op.resource, 0.0) + op.amount
-    span = result.makespan_ns or 1.0
-    nranks = max(len(traces), 1)
-    out: dict[str, tuple[float, float]] = {}
-    for name, amount in totals.items():
-        cap = resources[name].capacity(nranks)
-        out[name] = (amount, amount / (cap * span))
-    return Utilization(makespan_ns=result.makespan_ns, per_resource=out)

@@ -1,68 +1,14 @@
-"""Tests for utilization reporting and the ADIOS BP-index inquiry path."""
+"""Tests for the ADIOS BP-index inquiry path."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import AdiosFile
 from repro.cluster import Cluster
-from repro.config import DEFAULT_MACHINE
 from repro.errors import FormatError, RankFailedError
 from repro.mpi import Communicator
-from repro.sim import build_standard_resources, run_spmd, utilization
 from repro.sim.trace import Transfer
-from repro.units import GB, MiB
-
-
-class TestUtilization:
-    def test_single_saturated_resource(self):
-        def fn(ctx):
-            ctx.transfer("pmem_write", 8 * GB, DEFAULT_MACHINE.pmem.stream_write_bw)
-
-        res = run_spmd(24, fn)
-        u = utilization(
-            res.traces, res.time(), build_standard_resources(DEFAULT_MACHINE)
-        )
-        amount, frac = u.per_resource["pmem_write"]
-        assert amount == pytest.approx(24 * 8 * GB)
-        # 24 streams exceed the aggregate limit -> run is device-bound
-        assert frac == pytest.approx(1.0, rel=1e-3)
-
-    def test_idle_resources_absent(self):
-        res = run_spmd(1, lambda ctx: ctx.transfer("dram", 100.0, 1.0))
-        u = utilization(
-            res.traces, res.time(), build_standard_resources(DEFAULT_MACHINE)
-        )
-        assert "net" not in u.per_resource
-        assert "dram" in u.per_resource
-
-    def test_render_sorted_by_usage(self):
-        def fn(ctx):
-            ctx.transfer("pmem_write", 1e9, 0.55)
-            ctx.transfer("net", 1e6, 5.0)
-
-        res = run_spmd(2, fn)
-        u = utilization(
-            res.traces, res.time(), build_standard_resources(DEFAULT_MACHINE)
-        )
-        out = u.render()
-        assert out.index("pmem_write") < out.index("net")
-
-    def test_pmemcpy_write_is_pmem_bound(self):
-        """The paper's thesis as a utilization statement."""
-        from repro.harness.experiment import _cluster_for
-        from repro.workloads import Domain3D, write_job
-
-        w = Domain3D(nvars=2, model_dims=(200, 200, 200), axis_scale=10)
-        cl = _cluster_for(w, DEFAULT_MACHINE)
-        res = cl.run(
-            16, lambda ctx: write_job(ctx, w, "pmemcpy", "/pmem/u", {})
-        )
-        u = utilization(
-            res.traces, res.time(), build_standard_resources(DEFAULT_MACHINE)
-        )
-        _amount, frac = u.per_resource["pmem_write"]
-        assert frac > 0.6
-        assert "net" not in u.per_resource or u.per_resource["net"][1] < 0.05
+from repro.units import MiB
 
 
 class TestAdiosInquiry:
