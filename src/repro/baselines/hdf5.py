@@ -35,7 +35,7 @@ from ..mpi.datatypes import (
     subarray_run_starts,
     subarray_runs,
 )
-from ..pmemcpy.selection import Hyperslab, PointSelection, Selection
+from ..pmemcpy.selection import Hyperslab, Selection
 from ..serial.base import dtype_from_token, dtype_to_token
 from ..serial.filters import FilterPipeline
 from .base import PIODriver, register_driver
@@ -221,16 +221,6 @@ class Dataspace:
                 )
         self.selection = (offsets, counts)
         self.sel = None
-        return self
-
-    def select_elements(self, points) -> "Dataspace":
-        """H5Sselect_elements: an explicit point list, read in list order."""
-        try:
-            sel = PointSelection(points)
-            sel.normalized(self.dims)
-        except DimensionMismatchError as e:
-            raise BaselineError(str(e)) from e
-        self.selection, self.sel = None, sel
         return self
 
     @property

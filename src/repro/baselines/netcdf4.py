@@ -109,9 +109,6 @@ class NetCDFFile:
         charge_cpu(ctx, ctx.model_bytes(out.nbytes), CONVERT_BW, note="nc-unpack")
         return out
 
-    def inq_var_dims(self, name: str) -> tuple[int, ...]:
-        return self.h5.dataset(name).space.dims
-
     # ------------------------------------------------------------------ attributes
 
     def put_att(self, var: str | None, key: str, value) -> None:

@@ -221,9 +221,6 @@ class Replayer:
             # mark/fsmeta: no device state
         self.pos = index
 
-    def dirty_set(self) -> frozenset:
-        return frozenset(self.dirty)
-
     def materialize(self, retired=frozenset(), torn=None) -> np.ndarray:
         """The durable image if power died *now*, with ``retired`` dirty
         lines having reached the DIMM anyway (reordered CLWB retirement)

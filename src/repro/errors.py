@@ -23,10 +23,6 @@ class BadAddressError(MemoryError_):
     """An access fell outside a mapped region or device."""
 
 
-class TornWriteError(MemoryError_):
-    """Crash-simulation detected data read back that was never persisted."""
-
-
 # -- kernel / filesystem ------------------------------------------------------
 
 class KernelError(ReproError):

@@ -29,10 +29,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 from ..workloads import Domain3D
-from .artifacts import ARTIFACTS, GENERATORS, figures, mapsync
+from .artifacts import ARTIFACTS, GENERATORS, figures
 from .experiment import PAPER_PROC_COUNTS, JobResult, run_sweep
 
 
@@ -47,14 +46,11 @@ def export_telemetry(args, results: list[JobResult]) -> None:
             ))
             print()
     if args.trace_out:
-        from ..telemetry.export import (
-            chrome_trace, spans_from_dicts, write_json,
-        )
+        from ..telemetry.export import chrome_trace, write_json
 
         os.makedirs(args.trace_out, exist_ok=True)
         for r in results:
-            doc = chrome_trace(spans_from_dicts(r.spans),
-                               process_name=r.job_id())
+            doc = chrome_trace(r.spans, process_name=r.job_id())
             path = os.path.join(args.trace_out, f"{r.job_id()}.trace.json")
             write_json(path, doc)
             print(f"[trace] {path}")
@@ -63,20 +59,17 @@ def export_telemetry(args, results: list[JobResult]) -> None:
 
         os.makedirs(args.critpath_out, exist_ok=True)
         for r in results:
-            if r.critpath is None:
-                continue
             path = os.path.join(args.critpath_out,
                                 f"{r.job_id()}.critpath.json")
             write_json(path, r.critpath)
             print(f"[critpath] {path}")
     if args.flame_out:
-        from ..telemetry.export import spans_from_dicts
         from ..telemetry.flame import write_folded
 
         os.makedirs(args.flame_out, exist_ok=True)
         for r in results:
             path = os.path.join(args.flame_out, f"{r.job_id()}.folded")
-            write_folded(path, spans_from_dicts(r.spans))
+            write_folded(path, r.spans)
             print(f"[flame] {path}")
     if args.metrics_out:
         from ..telemetry.export import write_json
@@ -115,11 +108,10 @@ def main(argv=None) -> int:
             workload=workload,
         )
         export_telemetry(args, sweep)
-        artifacts += figures(sweep, workload)
-    generators = {**GENERATORS, "mapsync": partial(mapsync, sweep=sweep)}
-    for name, generate in generators.items():
+        artifacts += figures(workload, sweep)
+    for name, generate in GENERATORS.items():
         if args.command in (name, "all"):
-            artifacts.append(generate(workload))
+            artifacts.append(generate(workload, sweep))
 
     os.makedirs(args.out, exist_ok=True)
     failed = []

@@ -1,9 +1,13 @@
 """Every paper and ablation artifact under ``results/``, and the checks it
 must pass.
 
-Each generator returns :class:`Artifact` objects: a rendered ``.txt`` body,
-the ``.csv`` rows, and ``(claim, holds)`` pairs.  ``python -m
-repro.harness`` writes them and exits non-zero when any claim fails.
+Each generator takes the workload and the figure sweep (empty when the
+command runs no sweep) and returns :class:`Artifact` objects: a rendered
+``.txt`` body, the ``.csv`` rows, and ``(claim, holds)`` pairs.  A generator
+that needs Fig. 6/7 jobs gets them from :func:`~.experiment.cells`, which
+reads them from the sweep and runs only the cells it lacks.  ``python -m
+repro.harness`` writes the artifacts and exits non-zero when any claim
+fails.
 """
 
 from __future__ import annotations
@@ -22,14 +26,7 @@ from ..pmemcpy import PMEM, Hyperslab
 from ..units import MiB
 from ..workloads import Domain3D
 from .claims import READ_CLAIMS, WRITE_CLAIMS, check, deviation_rows, ratio_rows
-from .experiment import (
-    PAPER_LIBRARIES,
-    JobResult,
-    breakdown_experiment,
-    run_io_experiment,
-    run_sweep,
-    series_from,
-)
+from .experiment import PAPER_LIBRARIES, JobResult, cells, series_from
 from .figures import ascii_chart, render_table, series_to_rows, write_csv
 from .tokens import count_file_metrics
 
@@ -58,7 +55,8 @@ JITTER = {
     "fig7_reads": "the PMCPY-A 48p cell moved by up to 0.1%",
     "mapsync_ablation": "the cells move with the figures' PMCPY cells "
                         "(MAP_SYNC on, write: up to 2.8%)",
-    "copy_breakdown": "PMCPY-B write buckets moved by up to 0.02 s",
+    "copy_breakdown": "the buckets move with the figures' PMCPY-B write "
+                      "cells (up to 0.02 s)",
     "collective_io": "independent rows moved by up to 19%",
     "layout_ablation": "hashtable rows moved by up to 3.7%, hierarchical "
                        "rows by up to 1.3%",
@@ -104,7 +102,7 @@ def _secs(text: str) -> float:
 
 # --------------------------------------------------------------- Figs. 6/7
 
-def figures(sweep: list[JobResult], workload: Domain3D) -> list[Artifact]:
+def figures(workload: Domain3D, sweep: Sequence[JobResult]) -> list[Artifact]:
     """E1/E2: both figures from one sweep."""
     gb = f"{workload.model_total_bytes / 1e9:.0f} GB"
     out = []
@@ -147,7 +145,7 @@ API_DIR = os.path.normpath(os.path.join(
     os.path.dirname(__file__), "..", "..", "..", "examples", "api_complexity"))
 
 
-def api(workload: Domain3D) -> Artifact:
+def api(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """E3: lines/tokens of equivalent parallel-write programs."""
     rows = []
     for lib in ("pmemcpy", "adios", "hdf5", "pnetcdf"):
@@ -183,20 +181,19 @@ BUCKET_LABELS = {
 }
 
 
-def breakdown(workload: Domain3D) -> Artifact:
+DIRECTIONS = ("write", "read")
+
+
+def breakdown(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """E7: where each library's time goes at 24 procs."""
     rows = []
-    for label, dirs in breakdown_experiment(24, workload).items():
-        for direction, pb in dirs.items():
-            buckets: dict[str, float] = {}
-            for (_phase, bucket), ns in pb.detail.items():
-                buckets[bucket] = buckets.get(bucket, 0.0) + ns / 1e9
-            total = pb.makespan_ns / 1e9
-            for bucket, s in sorted(buckets.items(), key=lambda kv: -kv[1]):
-                if s >= 0.05:
-                    rows.append((label, direction,
-                                 BUCKET_LABELS.get(bucket, bucket),
-                                 f"{s:.2f}s", f"{100 * s / total:.0f}%"))
+    wanted = [(lib, {}, 24, d) for lib in PAPER_LIBRARIES for d in DIRECTIONS]
+    for r in cells(workload, sweep, wanted):
+        for bucket, s in sorted(r.buckets.items(), key=lambda kv: -kv[1]):
+            if s >= 0.05:
+                rows.append((r.library, r.direction,
+                             BUCKET_LABELS.get(bucket, bucket),
+                             f"{s:.2f}s", f"{100 * s / r.seconds:.0f}%"))
 
     def has(lib, direction, bucket):
         return any(r[:3] == (lib, direction, bucket) for r in rows)
@@ -223,20 +220,15 @@ def breakdown(workload: Domain3D) -> Artifact:
 
 # ----------------------------------------------------- ablations (E4-E9)
 
-def mapsync(workload: Domain3D, sweep: Sequence[JobResult] = ()) -> Artifact:
-    """E4: MAP_SYNC's penalty, PMCPY-A (off) vs PMCPY-B (on).  Reuses the
-    figure sweep's cells when it has them all."""
-    counts, pair = (8, 24, 48), ("PMCPY-A", "PMCPY-B")
-    have = {(r.library, r.nprocs, r.direction) for r in sweep}
-    if not have.issuperset((lib, p, d) for lib in pair for p in counts
-                           for d in ("write", "read")):
-        sweep = run_sweep(libraries={k: PAPER_LIBRARIES[k] for k in pair},
-                          proc_counts=counts, workload=workload)
-    cells = {(r.library, r.nprocs, r.direction): r.seconds for r in sweep}
+def mapsync(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
+    """E4: MAP_SYNC's penalty, PMCPY-A (off) vs PMCPY-B (on)."""
+    got = iter(cells(workload, sweep, [(lib, {}, p, d) for p in (8, 24, 48)
+                                       for d in DIRECTIONS
+                                       for lib in ("PMCPY-A", "PMCPY-B")]))
     rows, penalty = [], {}
-    for p in counts:
-        for d in ("write", "read"):
-            a, b = cells[("PMCPY-A", p, d)], cells[("PMCPY-B", p, d)]
+    for p in (8, 24, 48):
+        for d in DIRECTIONS:
+            a, b = next(got).seconds, next(got).seconds
             rows.append((p, d, f"{a:.2f}s", f"{b:.2f}s",
                          f"{(b / a - 1) * 100:.0f}%"))
             penalty[(p, d)] = _secs(rows[-1][4])
@@ -253,15 +245,19 @@ def mapsync(workload: Domain3D, sweep: Sequence[JobResult] = ()) -> Artifact:
     )
 
 
-def serializers(workload: Domain3D) -> Artifact:
+#: serializer -> PMCPY-A driver overrides; bp4 is the driver's default, so
+#: its row is the figures' PMCPY-A cell
+SERIALIZERS = {"bp4": {}, "cproto": {"serializer": "cproto"},
+               "cereal": {"serializer": "cereal"}, "raw": {"serializer": "raw"}}
+
+
+def serializers(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """E5: pMEMCPY's serializers at the 24-proc sweet spot."""
-    rows = []
-    for ser in ("bp4", "cproto", "cereal", "raw"):
-        res = run_io_experiment(
-            "PMCPY-A", 24, workload,
-            driver_override=("pmemcpy", {"serializer": ser}))
-        secs = {r.direction: r.seconds for r in res}
-        rows.append((ser, f"{secs['write']:.2f}s", f"{secs['read']:.2f}s"))
+    got = iter(cells(workload, sweep, [("PMCPY-A", kw, 24, d)
+                                       for kw in SERIALIZERS.values()
+                                       for d in DIRECTIONS]))
+    rows = [(ser, f"{next(got).seconds:.2f}s", f"{next(got).seconds:.2f}s")
+            for ser in SERIALIZERS]
     by = {r[0]: (_secs(r[1]), _secs(r[2])) for r in rows}
     return Artifact(
         "serializer_ablation",
@@ -290,7 +286,7 @@ def _layout_job(ctx, layout, nvars, elems):
     pmem.munmap()
 
 
-def layouts(workload: Domain3D) -> Artifact:
+def layouts(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """E6: hashtable vs hierarchical layout across variable counts.  Tiny
     variables at scale 1 make the metadata path dominate, which is where
     the layouts differ."""
@@ -330,7 +326,7 @@ def _cio_job(ctx, collective):
     f.close()
 
 
-def collective_io(workload: Domain3D) -> Artifact:
+def collective_io(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """E9: two-phase collective vs independent strided MPI-IO writes, at
     scale 1 so per-run costs are exact: a column decomposition gives every
     rank one strided run per row."""
@@ -354,18 +350,18 @@ def collective_io(workload: Domain3D) -> Artifact:
     )
 
 
-def fill_ablation(workload: Domain3D) -> Artifact:
+def fill_ablation(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """E-fill: NetCDF-4's default fill vs NC_NOFILL (§4.1's footnote), on
-    4 variables so the doubled write volume stays tractable."""
-    w = dataclasses.replace(workload, nvars=4)
+    4 variables so the doubled write volume stays tractable.  The sweep's
+    cells are of the full workload, so none of them applies."""
+    got = iter(cells(dataclasses.replace(workload, nvars=4), (),
+                     [("NetCDF", {"fill_mode": mode}, p, "write")
+                      for p in (8, 24) for mode in ("nofill", "fill")]))
     rows = []
     for p in (8, 24):
-        t = {mode: run_io_experiment(
-                 "NetCDF", p, w, directions=("write",),
-                 driver_override=("netcdf4", {"fill_mode": mode}))[0].seconds
-             for mode in ("nofill", "fill")}
-        rows.append((p, f"{t['nofill']:.2f}s", f"{t['fill']:.2f}s",
-                     f"{(t['fill'] / t['nofill'] - 1) * 100:.0f}%"))
+        nofill, fill = next(got).seconds, next(got).seconds
+        rows.append((p, f"{nofill:.2f}s", f"{fill:.2f}s",
+                     f"{(fill / nofill - 1) * 100:.0f}%"))
     return Artifact(
         "fill_ablation",
         render_table("E-fill: NetCDF-4 default fill vs NC_NOFILL "
@@ -398,7 +394,7 @@ def _compress_job(ctx, filters, gen):
     pmem.munmap()
 
 
-def compression(workload: Domain3D) -> Artifact:
+def compression(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """E-compress: filtered vs raw pMEMCPY stores.  Compression trades the
     direct-to-PMEM pack for a DRAM staging pass plus encoder CPU, in
     exchange for fewer PMEM bytes."""
@@ -422,18 +418,20 @@ def compression(workload: Domain3D) -> Artifact:
     )
 
 
-def aggregation(workload: Domain3D) -> Artifact:
+#: transport -> ADIOS driver overrides; per-process is the driver's
+#: default, so its rows are the figures' ADIOS cells
+TRANSPORTS = {"per-process": {}, "8 aggregators": {"aggregation": 8},
+              "4 aggregators": {"aggregation": 4}}
+
+
+def aggregation(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """E-aggr: ADIOS's N:M aggregated transport serializes device access
     through few writers, wasting PMEM's parallelism."""
-    rows = []
-    for p in (24, 48):
-        for aggr in (None, 8, 4):
-            res = run_io_experiment("ADIOS", p, workload,
-                                    directions=("write",),
-                                    driver_override=("adios",
-                                                     {"aggregation": aggr}))
-            rows.append((p, "per-process" if aggr is None
-                         else f"{aggr} aggregators", f"{res[0].seconds:.2f}s"))
+    got = iter(cells(workload, sweep, [("ADIOS", kw, p, "write")
+                                       for p in (24, 48)
+                                       for kw in TRANSPORTS.values()]))
+    rows = [(p, transport, f"{next(got).seconds:.2f}s")
+            for p in (24, 48) for transport in TRANSPORTS]
     t = {(r[0], r[1]): _secs(r[2]) for r in rows}
     return Artifact(
         "aggregation",
@@ -478,7 +476,7 @@ def _read_bytes_rows() -> list[tuple]:
     return rows
 
 
-def partial_reads(workload: Domain3D) -> Artifact:
+def partial_reads(workload: Domain3D, sweep: Sequence[JobResult]) -> Artifact:
     """~1% strided selections (dense sub-cube, plane, point cloud) of the
     trimmed 40^3 domain across every library, via the perf scenarios the
     regression gate tracks; plus the stored bytes the 1% read touches."""

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 from ..cluster import Cluster
 from ..config import DEFAULT_MACHINE, MachineSpec
-from ..sim.stats import summarize
+from ..sim.fluid import FluidResult
 from ..telemetry import merged_metrics, spans_of
-from ..telemetry.export import spans_to_dicts
+from ..telemetry.spans import Span
 from ..units import MiB
 from ..workloads import Domain3D, read_job, write_job
 
@@ -35,12 +36,14 @@ class JobResult:
     nprocs: int
     direction: str           # "write" | "read"
     seconds: float
-    phases: dict[str, float] = field(default_factory=dict)  # seconds
-    metrics: dict = field(default_factory=dict)   # MetricRegistry.as_dict()
-    spans: list = field(default_factory=list)     # span dicts (trace export)
+    phases: dict[str, float]     # phase -> max-over-ranks seconds
+    #: cost bucket (resource, "delay" or "barrier") -> mean rank-seconds
+    buckets: dict[str, float]
+    metrics: dict                # MetricRegistry.as_dict()
+    spans: list[Span]
     #: full repro-critpath/1 document of the run's causal replay (path
     #: steps, lock hand-offs, contention stats) — written by --critpath-out
-    critpath: dict | None = None
+    critpath: dict
 
     def row(self) -> tuple:
         return (self.library, self.nprocs, self.direction, round(self.seconds, 3))
@@ -49,27 +52,15 @@ class JobResult:
         return f"{self.library}_{self.direction}_{self.nprocs}p"
 
     def perf_record(self) -> dict:
-        """The perf-scenario view of this job (:mod:`repro.perf`): exact
-        modeled time, exclusive time per span family for regression
-        attribution, the per-family latency percentiles, and the compact
-        critical-path summary the compare gate diffs on failure."""
-        from ..telemetry.export import span_latency_percentiles, spans_from_dicts
+        """The perf-scenario view of this job (:mod:`repro.perf`)."""
+        from ..perf.scenarios import perf_record
         from ..telemetry.metrics import MetricRegistry
-        from ..telemetry.spans import exclusive_ns_by_family
 
-        reg = MetricRegistry.from_dict(self.metrics)
-        rec = {
-            "modeled_ns": self.seconds * 1e9,
-            "families": exclusive_ns_by_family(spans_from_dicts(self.spans)),
-            "latency": span_latency_percentiles(reg),
-        }
-        if self.critpath is not None:
-            rec["critpath"] = {
-                "total_ns": self.critpath["total_ns"],
-                "families": self.critpath["families"],
-                "source": self.critpath["source"],
-            }
-        return rec
+        return perf_record(
+            self.seconds * 1e9, self.spans,
+            MetricRegistry.from_dict(self.metrics),
+            {k: self.critpath[k] for k in ("total_ns", "families", "source")},
+        )
 
 
 def _cluster_for(workload: Domain3D, machine: MachineSpec) -> Cluster:
@@ -77,11 +68,25 @@ def _cluster_for(workload: Domain3D, machine: MachineSpec) -> Cluster:
     return Cluster(machine=machine, scale=workload.scale, pmem_capacity=capacity)
 
 
+def _bucket_seconds(timing: FluidResult) -> dict[str, float]:
+    """Mean rank-seconds per cost bucket: ranks are averaged per (phase,
+    bucket), then the phases are summed, the float order behind the
+    committed ``results/copy_breakdown`` figures."""
+    nranks = len(timing.finish_ns) or 1
+    per_phase: dict[tuple[str, str], float] = {}
+    for (_rank, phase, bucket), ns in timing.breakdown.items():
+        key = (phase, bucket)
+        per_phase[key] = per_phase.get(key, 0.0) + ns / nranks
+    out: dict[str, float] = {}
+    for (_phase, bucket), ns in per_phase.items():
+        out[bucket] = out.get(bucket, 0.0) + ns / 1e9
+    return out
+
+
 def _job_result(library: str, nprocs: int, direction: str, res, cl) -> JobResult:
-    """Fold one SPMD run into a JobResult: makespan + phase seconds, the
-    cross-rank :class:`MetricRegistry` (with the device's persistence
-    counters as ``device_*`` gauges), and the span dicts for trace
-    export."""
+    """Fold one SPMD run into a JobResult: makespan, phase and bucket
+    seconds, the cross-rank :class:`MetricRegistry` (with the device's
+    persistence counters as ``device_*`` gauges), and the spans."""
     from ..telemetry.critpath import (
         critical_path_spmd,
         critpath_doc,
@@ -97,9 +102,10 @@ def _job_result(library: str, nprocs: int, direction: str, res, cl) -> JobResult
     return JobResult(
         library, nprocs, direction, timing.makespan_ns / 1e9,
         {k: v / 1e9 for k, v in timing.phase_totals().items()},
+        _bucket_seconds(timing),
         reg.as_dict(),
-        spans_to_dicts(spans_of(res.traces)),
-        critpath=critpath_doc(critical_path_spmd(res)),
+        spans_of(res.traces),
+        critpath_doc(critical_path_spmd(res)),
     )
 
 
@@ -162,36 +168,37 @@ def run_sweep(
     return results
 
 
+def cells(
+    workload: Domain3D,
+    sweep: Sequence[JobResult],
+    wanted: Iterable[tuple[str, dict, int, str]],
+) -> list[JobResult]:
+    """The JobResult of each wanted ``(library, overrides, nprocs,
+    direction)`` cell, in order.  ``overrides`` are driver kwargs laid over
+    the library's :data:`PAPER_LIBRARIES` entry.  A cell without overrides
+    is taken from ``sweep`` (a :func:`run_sweep` of ``workload``) when the
+    sweep holds it; every other cell is run, one job pair per (library,
+    overrides, nprocs), the read only when it is wanted."""
+    wanted = [(lib, tuple(sorted(kw.items())), p, d)
+              for lib, kw, p, d in wanted]
+    found = {(r.library, (), r.nprocs, r.direction): r for r in sweep}
+    missing: dict[tuple, list[str]] = {}
+    for lib, kw, p, d in wanted:
+        if (lib, kw, p, d) not in found:
+            missing.setdefault((lib, kw, p), []).append(d)
+    for (lib, kw, p), dirs in missing.items():
+        driver, base = PAPER_LIBRARIES[lib]
+        for r in run_io_experiment(
+                lib, p, workload, directions=tuple(dirs),
+                driver_override=(driver, {**base, **dict(kw)})):
+            found[(lib, kw, p, r.direction)] = r
+    return [found[cell] for cell in wanted]
+
+
 def series_from(results: list[JobResult], direction: str) -> dict[str, dict[int, float]]:
     """{library: {nprocs: seconds}} for one direction."""
     out: dict[str, dict[int, float]] = {}
     for r in results:
         if r.direction == direction:
             out.setdefault(r.library, {})[r.nprocs] = r.seconds
-    return out
-
-
-def breakdown_experiment(
-    nprocs: int = 24,
-    workload: Domain3D | None = None,
-    *,
-    machine: MachineSpec = DEFAULT_MACHINE,
-) -> dict[str, dict]:
-    """E7: per-phase / per-resource decomposition of each library's write
-    and read at the paper's 24-core sweet spot."""
-    workload = workload or Domain3D()
-    out: dict[str, dict] = {}
-    for label, (driver, kw) in PAPER_LIBRARIES.items():
-        cl = _cluster_for(workload, machine)
-        path = "/pmem/bd"
-        res_w = cl.run(
-            nprocs, lambda ctx: write_job(ctx, workload, driver, path, kw)
-        )
-        res_r = cl.run(
-            nprocs, lambda ctx: read_job(ctx, workload, driver, path, kw)
-        )
-        out[label] = {
-            "write": summarize(res_w.time()),
-            "read": summarize(res_r.time()),
-        }
     return out

@@ -125,9 +125,6 @@ class ShadowPMEM:
             self.journal.on_drain()
         return int(idx.size)
 
-    def dirty_lines(self) -> int:
-        return self._ndirty
-
     # -- wholesale state (crash-state materialization) -----------------------
 
     def state_save(self) -> tuple:

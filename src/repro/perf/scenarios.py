@@ -111,26 +111,38 @@ def perf_workload():
     return Domain3D(nvars=PERF_NVARS, axis_scale=PERF_AXIS_SCALE)
 
 
+def perf_record(modeled_ns: float, spans, registry, critpath: dict) -> dict:
+    """The scenario perf record: exact modeled time, exclusive time per
+    span family for regression attribution, the per-family latency
+    percentiles of ``registry``, and the compact critical-path summary
+    (:func:`~repro.telemetry.critpath.critpath_summary`) the compare gate
+    diffs on failure."""
+    from ..telemetry import exclusive_ns_by_family
+    from ..telemetry.export import span_latency_percentiles
+
+    return {
+        "modeled_ns": modeled_ns,
+        "families": exclusive_ns_by_family(spans),
+        "latency": span_latency_percentiles(registry),
+        "critpath": critpath,
+    }
+
+
 def record_from_spmd(res) -> dict:
     """Fold a finished :class:`~repro.sim.engine.SpmdResult` into the
-    scenario perf record (the non-harness twin of
-    :meth:`~repro.harness.experiment.JobResult.perf_record`)."""
-    from ..telemetry import exclusive_ns_by_family, merged_metrics
+    scenario perf record."""
+    from ..telemetry import merged_metrics
     from ..telemetry.critpath import (
         critical_path_spmd,
         critpath_summary,
         offer_capture,
     )
-    from ..telemetry.export import span_latency_percentiles
 
     offer_capture("spmd", res)
-    return {
-        # the causal record first, so critical_path_spmd reuses this replay
-        "modeled_ns": res.time(record_causal=True).makespan_ns,
-        "families": exclusive_ns_by_family(res.traces),
-        "latency": span_latency_percentiles(merged_metrics(res.traces)),
-        "critpath": critpath_summary(critical_path_spmd(res)),
-    }
+    # the causal record first, so critical_path_spmd reuses this replay
+    modeled_ns = res.time(record_causal=True).makespan_ns
+    return perf_record(modeled_ns, res.traces, merged_metrics(res.traces),
+                       critpath_summary(critical_path_spmd(res)))
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,6 @@ class VariableMeta:
                     f"outside global dims {self.global_dims}"
                 )
 
-    def covering_chunks(self, offsets, dims) -> list[Chunk]:
-        return [c for c in self.chunks if c.intersects(offsets, dims)]
-
     # ------------------------------------------------------------------ packing
 
     def pack(self) -> bytes:

@@ -59,7 +59,6 @@ from ..telemetry import MetricRegistry, metrics_for, record, span
 from ..telemetry.export import registry_percentiles
 from ..telemetry.flight import FlightRecord, FlightRecorder
 from ..telemetry.prometheus import prometheus_text
-from ..units import MiB
 from . import wire
 from .shard import ShardExecutor, ShardRing
 from .wire import (
@@ -79,6 +78,10 @@ DECODE_BYTE_NS = 0.02
 #: modeled fixed costs of the non-wire pipeline stages
 DECODE_OVERHEAD_NS = 500.0
 DISPATCH_NS = 300.0
+#: suggested client backoff carried in overload errors
+RETRY_AFTER_MS = 50.0
+#: flight recorder (:mod:`repro.telemetry.flight`) ring capacity
+FLIGHT_CAPACITY = 256
 
 
 class ServiceContext:
@@ -108,20 +111,11 @@ class ServiceConfig:
     max_inflight: int = 1024
     #: max requests one shard batch may carry
     batch_max: int = 64
-    #: capacity of each shard's private PMEM device
-    shard_capacity: int = 64 * MiB
-    layout: str = "hashtable"
-    serializer: str = "bp4"
-    map_sync: bool = True
-    #: suggested client backoff carried in overload errors
-    retry_after_ms: float = 50.0
     #: collect shard-engine spans into the service trace (rebased onto the
     #: service clock) — perf scenarios want the attribution; the load
     #: generator turns it off to keep million-request runs flat in memory
     collect_engine_spans: bool = True
-    #: flight recorder (:mod:`repro.telemetry.flight`): ring capacity and
-    #: the 1-in-N sampling period for healthy requests
-    flight_capacity: int = 256
+    #: flight recorder: the 1-in-N sampling period for healthy requests
     flight_sample_every: int = 64
     #: latency SLO in modeled ns — requests above it are always kept; None
     #: disables the SLO keep-reason (errors/rejects are still kept)
@@ -155,20 +149,13 @@ class ServiceCore:
     def __init__(self, config: ServiceConfig | None = None):
         self.cfg = config or ServiceConfig()
         self.ring = ShardRing(self.cfg.nshards)
-        self.shards = [
-            ShardExecutor(
-                i, pmem_capacity=self.cfg.shard_capacity,
-                layout=self.cfg.layout, serializer=self.cfg.serializer,
-                map_sync=self.cfg.map_sync,
-            )
-            for i in range(self.cfg.nshards)
-        ]
+        self.shards = [ShardExecutor(i) for i in range(self.cfg.nshards)]
         self.ctx = ServiceContext()
         self._lock = threading.Lock()
         self._inflight = 0
         self._trace_seq = 0
         self.flight = FlightRecorder(
-            self.cfg.flight_capacity, self.cfg.flight_sample_every,
+            FLIGHT_CAPACITY, self.cfg.flight_sample_every,
             self.cfg.flight_slo_ns,
             burn_window=self.cfg.flight_burn_window,
             burn_frac=self.cfg.flight_burn_frac,
@@ -213,8 +200,7 @@ class ServiceCore:
             if self._inflight + n > self.cfg.max_inflight:
                 self._count("service.rejects", n)
                 raise ServiceOverloadedError(
-                    self._inflight, self.cfg.max_inflight,
-                    self.cfg.retry_after_ms,
+                    self._inflight, self.cfg.max_inflight, RETRY_AFTER_MS,
                 )
             self._inflight += n
             self._count("service.admitted", n)

@@ -46,7 +46,7 @@ from ..telemetry import MetricRegistry
 from ..telemetry.export import registry_percentiles
 from ..units import KiB
 from . import wire
-from .core import ServiceConfig, ServiceCore
+from .core import RETRY_AFTER_MS, ServiceConfig, ServiceCore
 
 #: loadgen op labels (partial loads get their own SLO endpoint)
 OP_STORE_W, OP_LOAD_W, OP_LOAD_P = "store", "load", "load_partial"
@@ -228,7 +228,7 @@ class LoadGenerator:
                     reg.histogram("loadgen.reject.ns").observe(reject_ns)
                 if admitted_w <= 0:
                     # whole cohort bounced: back off and retry
-                    push(t + reject_ns + core.cfg.retry_after_ms * 1e6,
+                    push(t + reject_ns + RETRY_AFTER_MS * 1e6,
                          _ISSUE, rep)
                     continue
                 inflight += admitted_w

@@ -47,6 +47,12 @@ from .wire import OP_DELETE, OP_LOAD, OP_STORE, Request
 #: percent of uniform at any realistic shard count
 VNODES = 64
 
+#: every shard's private PMEM device and the pMEMCPY handle over it
+SHARD_CAPACITY = 64 * MiB
+SHARD_LAYOUT = "hashtable"
+SHARD_SERIALIZER = "bp4"
+SHARD_MAP_SYNC = True
+
 _M64 = (1 << 64) - 1
 
 
@@ -120,14 +126,12 @@ class BatchResult:
 class ShardExecutor:
     """One shard: an isolated cluster + PMEM handle executing batches."""
 
-    def __init__(self, shard: int, *, pmem_capacity: int = 64 * MiB,
-                 layout: str = "hashtable", serializer: str = "bp4",
-                 map_sync: bool = True, path: str | None = None):
+    def __init__(self, shard: int):
         self.shard = shard
-        self.cluster = Cluster(pmem_capacity=pmem_capacity)
-        self.pmem = PMEM(layout=layout, serializer=serializer,
-                         map_sync=map_sync)
-        self.path = path or f"/pmem/svc_shard{shard}"
+        self.cluster = Cluster(pmem_capacity=SHARD_CAPACITY)
+        self.pmem = PMEM(layout=SHARD_LAYOUT, serializer=SHARD_SERIALIZER,
+                         map_sync=SHARD_MAP_SYNC)
+        self.path = f"/pmem/svc_shard{shard}"
         self.available = True
         #: engine telemetry accumulated across every batch this shard ran
         self.metrics = MetricRegistry()

@@ -24,7 +24,6 @@ from .lockcheck import (
     LockViolation,
     check_lock_discipline,
 )
-from .stats import PhaseBreakdown, summarize
 
 __all__ = [
     "Acquire",
@@ -46,6 +45,4 @@ __all__ = [
     "SpmdResult",
     "ThreadEngine",
     "run_spmd",
-    "PhaseBreakdown",
-    "summarize",
 ]

@@ -288,13 +288,6 @@ class RankTrace:
     def total_delay_ns(self) -> float:
         return sum(op.ns for op in self.ops if isinstance(op, Delay))
 
-    def total_amount(self, resource: str) -> float:
-        return sum(
-            op.amount
-            for op in self.ops
-            if isinstance(op, Transfer) and op.resource == resource
-        )
-
     def lower_bound_ns(self) -> float:
         """Uncontended lower bound: every transfer at its stream cap."""
         t = self.total_delay_ns()

@@ -155,7 +155,6 @@ def cmd_smoke(args) -> int:
     from .export import (
         chrome_trace,
         render_report,
-        spans_from_dicts,
         validate_chrome_trace,
         write_json,
     )
@@ -167,8 +166,7 @@ def cmd_smoke(args) -> int:
     metrics_path = os.path.join(args.out, "metrics.json")
     bad = 0
     for r in results:
-        spans = spans_from_dicts(r.spans)
-        doc = chrome_trace(spans, process_name=r.job_id())
+        doc = chrome_trace(r.spans, process_name=r.job_id())
         errors = validate_chrome_trace(doc)
         if errors:
             bad += 1
@@ -176,8 +174,8 @@ def cmd_smoke(args) -> int:
                 print(f"[invalid] {r.job_id()}: {e}", file=sys.stderr)
         path = write_json(
             os.path.join(trace_dir, f"{r.job_id()}.trace.json"), doc)
-        print(f"[trace] {path}  ({len(spans)} spans)")
-        print(render_report(MetricRegistry.from_dict(r.metrics), spans,
+        print(f"[trace] {path}  ({len(r.spans)} spans)")
+        print(render_report(MetricRegistry.from_dict(r.metrics), r.spans,
                             title=r.job_id()))
         print()
     write_json(metrics_path, {r.job_id(): r.metrics for r in results})

@@ -70,10 +70,6 @@ class Domain3D:
         """(offsets, dims) of this rank's block at functional scale."""
         return block_decompose(self.functional_dims, nprocs, rank)
 
-    def model_block_for(self, nprocs: int, rank: int) -> tuple[tuple, tuple]:
-        """The same block at model (paper) scale."""
-        return block_decompose(self.model_dims, nprocs, rank)
-
     # ------------------------------------------------------------------ data
 
     def generate(self, var: int, offsets, dims) -> np.ndarray:

@@ -285,20 +285,3 @@ class TestTiming:
         b = run_spmd(6, fn).time()
         assert a.finish_ns == b.finish_ns
         assert a.breakdown == b.breakdown
-
-
-class TestSummarize:
-    def test_render_contains_phases(self):
-        from repro.sim import summarize
-
-        def fn(ctx):
-            with ctx.phase("serialize"):
-                ctx.transfer("cpu", 1e6, 1.0)
-            with ctx.phase("device"):
-                ctx.transfer("pmem_write", 1e6, 0.5)
-
-        pb = summarize(run_spmd(2, fn).time())
-        text = pb.render("t")
-        assert "serialize" in text
-        assert "device" in text
-        assert pb.makespan_ns > 0

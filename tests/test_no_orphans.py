@@ -8,16 +8,26 @@ Communicator`` uses ``repro.mpi.comm``) — or when it registers a driver with
 by import).  ``__init__`` and ``__main__`` modules are entry points and are
 not checked.  A module only its own test, benchmark or example imports is a
 subsystem the program does not run, and this test names it.
+
+No unused definitions either: every function, method and class under
+``src/repro`` must have its name appear in ``src/``, ``bench/``,
+``examples/`` or ``tests/`` somewhere other than at a definition of that
+name.  The match is by word, in code, strings and comments alike, so a
+method reached through ``getattr`` or a name list still counts as used.
+Dunder names are exempt: the language calls them.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 BENCH = ROOT / "bench"
+WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _module_name(path: Path, base: Path) -> str:
@@ -138,3 +148,61 @@ def test_guard_sees_through_packages_and_ignores_init_imports(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     assert orphans(tmp_path / "src", tmp_path / "bench") == ["pkg.orphan"]
+
+
+def _definitions(node: ast.AST, prefix: str = ""):
+    """``(qualified name, name)`` of every def and class under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield prefix + child.name, child.name
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def unused_definitions(root: Path = ROOT) -> list[str]:
+    words: Counter = Counter()
+    for tree in ("src", "bench", "examples", "tests"):
+        for path in (root / tree).rglob("*.py"):
+            words.update(WORD.findall(path.read_text()))
+    defs = [(f"{name.removeprefix('repro.')}:{qual}", short)
+            for name, (_, tree) in _load(root / "src").items()
+            if name.startswith("repro")
+            for qual, short in _definitions(tree)]
+    sites = Counter(short for _, short in defs)
+    return sorted(qual for qual, short in defs
+                  if not (short.startswith("__") and short.endswith("__"))
+                  and words[short] <= sites[short])
+
+
+def test_every_definition_is_used():
+    found = unused_definitions()
+    assert not found, f"definitions nothing names: {found}"
+
+
+def test_definition_guard_counts_uses_not_definitions(tmp_path):
+    files = {
+        "src/repro/__init__.py": "",
+        "src/repro/mod.py": (
+            "class Used:\n"
+            "    def __init__(self):\n        pass\n"
+            "    def lonely(self):\n        pass\n"
+            "    def twin(self):\n        pass\n"
+            "class Other:\n"
+            "    def twin(self):\n        pass\n"
+            "    def by_name(self):\n        pass\n"
+            "def helper():\n    return Used()\n"
+        ),
+        # a name in a string (a getattr list) is a use; two definitions of
+        # one name are not each other's use
+        "bench/layers.py": 'NAMES = "by_name"\n',
+        "examples/demo.py": "from repro.mod import helper\nhelper()\n",
+        "tests/test_mod.py": "from repro.mod import Other\n",
+    }
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert unused_definitions(tmp_path) == [
+        "mod:Other.twin", "mod:Used.lonely", "mod:Used.twin"]

@@ -1,18 +1,29 @@
-"""The paper's claims as checked by ``python -m repro.harness``, and the
-one-generator-per-file map of ``results/``."""
+"""The paper's claims as checked by ``python -m repro.harness``, the
+one-generator-per-file map of ``results/``, and one run per Fig. 6/7 cell."""
 
 from __future__ import annotations
 
 import csv
 import os
+from collections import Counter
 from pathlib import Path
 
+from repro.harness import experiment
 from repro.harness.__main__ import main as harness_main
-from repro.harness.artifacts import ARTIFACTS, GENERATORS
+from repro.harness.artifacts import (
+    ARTIFACTS,
+    GENERATORS,
+    aggregation,
+    breakdown,
+    mapsync,
+    serializers,
+)
 from repro.harness.claims import READ_CLAIMS, WRITE_CLAIMS, check
 from repro.perf.baseline import DEFAULT_BASELINE_PATH
 from repro.service.__main__ import SATURATION_FILES
 from repro.service.loadgen import LoadReport, saturation_checks
+from repro.sim.resources import build_standard_resources
+from repro.workloads import Domain3D
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
@@ -79,3 +90,62 @@ def test_every_results_file_has_exactly_one_generator():
     assert set().union(*owners.values()) <= files
     # every harness file's command has a generator (fig6/fig7: the sweep)
     assert set(ARTIFACTS.values()) == set(GENERATORS) | {"fig6", "fig7"}
+
+
+#: a domain small enough that the 48-rank cells take well under a second
+SMALL = Domain3D(nvars=1, model_dims=(40, 40, 40), axis_scale=5)
+
+
+def test_artifacts_run_no_figure_cell_twice(monkeypatch):
+    """The sweep plus every artifact built from Fig. 6/7 jobs: no (driver,
+    kwargs, nprocs, direction) job runs twice."""
+    runs: Counter = Counter()
+
+    def counted(job, direction):
+        def run(ctx, workload, driver, path, kw=None, **extra):
+            if ctx.rank == 0:   # once per Cluster.run
+                runs[driver, tuple(sorted((kw or {}).items())),
+                     ctx.nprocs, direction] += 1
+            return job(ctx, workload, driver, path, kw, **extra)
+        return run
+
+    monkeypatch.setattr(experiment, "write_job",
+                        counted(experiment.write_job, "write"))
+    monkeypatch.setattr(experiment, "read_job",
+                        counted(experiment.read_job, "read"))
+    sweep = experiment.run_sweep(proc_counts=(8, 24, 48), workload=SMALL)
+    assert len(runs) == len(sweep) == 30
+    for generate in (breakdown, mapsync, serializers, aggregation):
+        generate(SMALL, sweep)
+    # cproto/cereal/raw write+read and 8/4 aggregators at 24p/48p
+    assert len(runs) == 30 + 6 + 4
+    assert [job for job, n in runs.items() if n > 1] == []
+
+
+def _old_breakdown_fold(timing) -> dict[str, float]:
+    """The reference E7 fold: mean over ranks per (phase, bucket), then
+    summed per bucket."""
+    nranks = len(timing.finish_ns) or 1
+    detail: dict[tuple[str, str], float] = {}
+    for (_rank, phase, bucket), ns in timing.breakdown.items():
+        key = (phase, bucket)
+        detail[key] = detail.get(key, 0.0) + ns / nranks
+    buckets: dict[str, float] = {}
+    for (_phase, bucket), ns in detail.items():
+        buckets[bucket] = buckets.get(bucket, 0.0) + ns / 1e9
+    return buckets
+
+
+def test_job_buckets_equal_the_old_fold_over_a_plain_replay(monkeypatch):
+    runs = []
+    job_result = experiment._job_result
+    monkeypatch.setattr(experiment, "_job_result",
+                        lambda *a: runs.append(a[3]) or job_result(*a))
+    for lib in ("PMCPY-B", "NetCDF"):
+        out = experiment.run_io_experiment(lib, 4, SMALL)
+        for r, res in zip(out, runs[-2:]):
+            # a plain what-if replay of the same traces, as the breakdown
+            # used to run; the job itself folds its causal replay
+            plain = res.time(build_standard_resources(res.machine))
+            assert r.buckets == _old_breakdown_fold(plain)
+            assert r.seconds == plain.makespan_ns / 1e9

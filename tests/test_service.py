@@ -17,6 +17,7 @@ from repro.errors import (
 )
 from repro.pmemcpy.selection import Hyperslab, PointSelection
 from repro.service import ServiceConfig, ServiceCore, ShardRing, wire
+from repro.service.core import RETRY_AFTER_MS
 from repro.service.loadgen import (
     LoadGenerator,
     LoadgenConfig,
@@ -256,7 +257,7 @@ def test_core_admission_control_backpressure():
     core.admit()
     with pytest.raises(ServiceOverloadedError) as ei:
         core.admit()
-    assert ei.value.retry_after_ms == core.cfg.retry_after_ms
+    assert ei.value.retry_after_ms == RETRY_AFTER_MS
     # a full window answers data-path requests with the typed error frame
     _, err = _rpc(core, wire.encode_load(9, "x"))
     assert isinstance(err, ServiceOverloadedError)

@@ -33,7 +33,7 @@ from repro.telemetry import (
     spans_of,
     tracer_for,
 )
-from repro.telemetry.spans import LeafBatch
+from repro.telemetry.spans import LeafBatch, Span
 from repro.telemetry.export import (
     chrome_trace,
     darshan_records,
@@ -619,10 +619,10 @@ def test_job_result_carries_metrics_and_spans():
     assert reg.get("meta.stripe.acquires").nonzero_buckets()
     assert reg.get("device_stores").kind == "gauge"
     assert reg.get("device_stores").value > 0
-    # spans exported as dicts, chrome-trace ready
-    spans = spans_from_dicts(r.spans)
-    assert any(s.name == "pmemcpy.store" for s in spans)
-    assert validate_chrome_trace(chrome_trace(spans)) == []
+    # the run's live spans, chrome-trace ready
+    assert all(isinstance(s, Span) for s in r.spans)
+    assert any(s.name == "pmemcpy.store" for s in r.spans)
+    assert validate_chrome_trace(chrome_trace(r.spans)) == []
 
 
 def test_telemetry_cli_report(tmp_path, capsys):
