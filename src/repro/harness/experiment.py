@@ -54,11 +54,9 @@ class JobResult:
     def perf_record(self) -> dict:
         """The perf-scenario view of this job (:mod:`repro.perf`)."""
         from ..perf.scenarios import perf_record
-        from ..telemetry.metrics import MetricRegistry
 
         return perf_record(
-            self.seconds * 1e9, self.spans,
-            MetricRegistry.from_dict(self.metrics),
+            self.seconds * 1e9,
             {k: self.critpath[k] for k in ("total_ns", "families", "source")},
         )
 

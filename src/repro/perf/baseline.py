@@ -11,8 +11,8 @@ no host figures: they would only be comparable on the machine that
 produced them, and ``bench/`` owns that clock.
 
 Update policy (DESIGN.md §10): refresh the baseline in the same PR as an
-*intentional* perf change, with the compare report (which names the
-responsible span families) quoted in the PR description.
+*intentional* perf change, with the compare report (whose critical-path
+diff names the responsible span families) quoted with the change.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ def baseline_from_runs(runs: list[dict]) -> dict:
             "group": m.group,
             "deterministic": m.deterministic,
             "modeled_ns": m.modeled_ns,
-            "families": dict(m.families),
-            "latency": dict(m.latency),
         }
         if m.modeled_tolerance_frac is not None:
             entry["modeled_tolerance_frac"] = m.modeled_tolerance_frac

@@ -1,4 +1,4 @@
-"""Modeled-clock regression gating with span-diff attribution.
+"""Modeled-clock regression gating with critical-path attribution.
 
 The simulator clock is deterministic, so the delta between baseline and
 current ``modeled_ns`` is exact: anything beyond ±:data:`MODELED_GATE_FRAC`
@@ -7,16 +7,18 @@ is a real change.  Slowdowns fail; speedups are reported as ``improved``
 (refresh the baseline).  Host wall time is not gated here — ``bench/``
 owns that clock.
 
-The observability heart is :func:`attribute_families`: the per-family
-exclusive-time maps of baseline and current run are merged and ranked by
-delta, so a failing gate names the guilty subsystem (``meta.lock``,
-``store.persist``, ``pmdk.tx``, ...) rather than just the scenario.
+The modeled makespan *is* the critical path, so a failing scenario is
+explained by one diff: :func:`~repro.telemetry.critpath.critpath_culprits`
+ranks the span families (``meta.lock``, ``store.persist``, ``pmdk.tx``,
+...) whose critical-path time grew, and the report names the family with
+the most path time added across every failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..telemetry.critpath import critpath_culprits, narrate_culprits
 from ..telemetry.metrics import _fmt_quantity
 from .measure import Measurement
 
@@ -27,50 +29,6 @@ FAILING = ("modeled-regression",)
 
 
 @dataclass
-class FamilyDelta:
-    """One span family's contribution to a scenario's slowdown."""
-
-    family: str
-    base_ns: float
-    cur_ns: float
-    delta_ns: float
-    share: float  # of the total positive family delta
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "base_ns": self.base_ns,
-            "cur_ns": self.cur_ns,
-            "delta_ns": self.delta_ns,
-            "share": round(self.share, 4),
-        }
-
-
-def attribute_families(base: dict, cur: dict,
-                       top: int | None = None) -> list[FamilyDelta]:
-    """Merge two per-family exclusive-time maps and rank by delta.
-
-    Families are sorted by absolute regression (largest added exclusive
-    time first); ``share`` is each family's fraction of the *total
-    positive* delta, so shares of the slowed-down families sum to 1."""
-    fams = sorted(set(base) | set(cur))
-    gained = sum(max(cur.get(f, 0.0) - base.get(f, 0.0), 0.0) for f in fams)
-    out = [
-        FamilyDelta(
-            family=f,
-            base_ns=base.get(f, 0.0),
-            cur_ns=cur.get(f, 0.0),
-            delta_ns=cur.get(f, 0.0) - base.get(f, 0.0),
-            share=(max(cur.get(f, 0.0) - base.get(f, 0.0), 0.0) / gained
-                   if gained > 0 else 0.0),
-        )
-        for f in fams
-    ]
-    out.sort(key=lambda d: (-d.delta_ns, d.family))
-    return out[:top] if top else out
-
-
-@dataclass
 class ScenarioVerdict:
     scenario: str
     # ok | improved | modeled-regression | new
@@ -78,7 +36,6 @@ class ScenarioVerdict:
     base_modeled_ns: float = 0.0
     cur_modeled_ns: float = 0.0
     modeled_delta_frac: float = 0.0
-    attribution: list[FamilyDelta] = field(default_factory=list)
     #: per-family critical-path deltas (repro.telemetry.critpath rows) for
     #: failed scenarios where both sides recorded a critpath summary
     critpath_culprits: list[dict] = field(default_factory=list)
@@ -97,8 +54,6 @@ class ScenarioVerdict:
             "cur_modeled_ns": self.cur_modeled_ns,
             "modeled_delta_frac": round(self.modeled_delta_frac, 6),
         }
-        if self.attribution:
-            d["attribution"] = [a.as_dict() for a in self.attribution]
         if self.critpath_culprits:
             d["critpath_culprits"] = list(self.critpath_culprits)
         if self.narrative:
@@ -119,22 +74,9 @@ class CompareReport:
     def regressions(self) -> list[ScenarioVerdict]:
         return [v for v in self.verdicts if v.failed]
 
-    def top_family(self) -> str | None:
-        """The family accounting for the most added exclusive time across
-        every failing scenario — the report's one-line culprit."""
-        totals: dict[str, float] = {}
-        for v in self.regressions:
-            for a in v.attribution:
-                if a.delta_ns > 0:
-                    totals[a.family] = totals.get(a.family, 0.0) + a.delta_ns
-        if not totals:
-            return None
-        return max(sorted(totals), key=lambda f: totals[f])
-
     def top_critpath_family(self) -> str | None:
-        """The family with the most *critical-path* time added across the
-        failing scenarios — the doctor's culprit (may disagree with
-        :meth:`top_family` when the slowdown is off the path)."""
+        """The family with the most critical-path time added across the
+        failing scenarios — the report's one-line culprit."""
         totals: dict[str, float] = {}
         for v in self.regressions:
             for c in v.critpath_culprits:
@@ -157,7 +99,6 @@ class CompareReport:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "top_family": self.top_family(),
             "top_critpath_family": self.top_critpath_family(),
             "doctor_narrative": self.doctor_narrative(),
             "missing_from_run": list(self.missing),
@@ -174,17 +115,6 @@ class CompareReport:
                 f"modeled {_fmt_quantity(v.cur_modeled_ns, 'ns'):<18} "
                 f"({v.modeled_delta_frac * +100:+.2f}% vs baseline)"
             )
-            if v.failed and v.attribution:
-                lines.append("      slowdown attribution "
-                             "(exclusive-time delta by span family):")
-                for a in v.attribution[:5]:
-                    if a.delta_ns <= 0:
-                        continue
-                    lines.append(
-                        f"        {a.family:<18} "
-                        f"+{_fmt_quantity(a.delta_ns, 'ns'):<16} "
-                        f"({a.share * 100:5.1f}% of the regression)"
-                    )
             if v.failed and v.critpath_culprits:
                 lines.append("      critical-path diff "
                              "(path time added by span family):")
@@ -201,9 +131,9 @@ class CompareReport:
             lines.append(
                 f"  (not measured this run: {', '.join(self.missing)})"
             )
-        top = self.top_family()
+        top = self.top_critpath_family()
         if top:
-            lines.append(f"  TOP ATTRIBUTED FAMILY: {top}")
+            lines.append(f"  TOP CRITICAL-PATH FAMILY: {top}")
         lines.append("  RESULT: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)
 
@@ -238,17 +168,9 @@ def compare_runs(baseline_doc: dict, runs: list[dict]) -> CompareReport:
             status = "improved"
         else:
             status = "ok"
-        attribution = attribute_families(
-            base.get("families", {}), m.families
-        ) if status != "ok" else []
         culprits: list[dict] = []
         narrative = ""
         if status in FAILING and base.get("critpath") and m.critpath:
-            from ..telemetry.critpath import (
-                critpath_culprits,
-                narrate_culprits,
-            )
-
             culprits = critpath_culprits(base["critpath"], m.critpath)
             narrative = narrate_culprits(
                 m.scenario, culprits,
@@ -259,7 +181,6 @@ def compare_runs(baseline_doc: dict, runs: list[dict]) -> CompareReport:
             base_modeled_ns=base_ns,
             cur_modeled_ns=m.modeled_ns,
             modeled_delta_frac=delta_frac,
-            attribution=attribution,
             critpath_culprits=culprits,
             narrative=narrative,
         ))

@@ -2,10 +2,9 @@
 
 Each scenario runs once with ``REPRO_TRACE`` forced to ``full`` so the
 span families are always recorded.  Everything it reports — the exact
-modeled makespan, per-family exclusive time, latency percentiles and the
-critical-path summary — comes from the simulator clock, so one run is
-the measurement.  Host wall time is not measured here: ``bench/`` owns
-that clock (DESIGN.md §10).
+modeled makespan and the critical-path summary — comes from the
+simulator clock, so one run is the measurement.  Host wall time is not
+measured here: ``bench/`` owns that clock (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ class Measurement:
     group: str
     deterministic: bool
     modeled_ns: float
-    families: dict
-    latency: dict
     modeled_tolerance_frac: float | None = None
     #: compact critical-path summary ({"total_ns", "families", "source"})
     #: from the scenario's causal replay; absent on legacy records
@@ -38,8 +35,6 @@ class Measurement:
             "group": self.group,
             "deterministic": self.deterministic,
             "modeled_ns": self.modeled_ns,
-            "families": dict(self.families),
-            "latency": dict(self.latency),
         }
         if self.modeled_tolerance_frac is not None:
             out["modeled_tolerance_frac"] = self.modeled_tolerance_frac
@@ -49,14 +44,14 @@ class Measurement:
 
     @classmethod
     def from_run(cls, d: dict) -> "Measurement":
+        """Read a ``runs[]`` record; keys it does not track (such as the
+        ``families``/``latency`` maps of older records) are ignored."""
         tol = d.get("modeled_tolerance_frac")
         return cls(
             scenario=d["scenario"],
             group=d.get("group", ""),
             deterministic=bool(d.get("deterministic", False)),
             modeled_ns=float(d["modeled_ns"]),
-            families={k: float(v) for k, v in d.get("families", {}).items()},
-            latency=d.get("latency", {}),
             modeled_tolerance_frac=float(tol) if tol is not None else None,
             critpath=d.get("critpath"),
         )
@@ -78,10 +73,8 @@ def measure_scenario(scenario: Scenario) -> Measurement:
         group=scenario.group,
         deterministic=scenario.deterministic,
         modeled_ns=float(record["modeled_ns"]),
-        families={k: float(v) for k, v in record["families"].items()},
-        latency=record.get("latency", {}),
         modeled_tolerance_frac=scenario.modeled_tolerance_frac,
-        critpath=record.get("critpath"),
+        critpath=record["critpath"],
     )
 
 

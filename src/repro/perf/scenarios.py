@@ -4,9 +4,8 @@ Every scenario is one named, self-contained measurement job: calling
 :attr:`Scenario.run` executes the workload end to end and returns the
 perf record the observatory tracks::
 
-    {"modeled_ns": float,                 # exact makespan, modeled clock
-     "families":   {family: exclusive_ns},  # span-diff attribution input
-     "latency":    {family: {"p50": ..., "p95": ..., "p99": ...}}}
+    {"modeled_ns": float,   # exact makespan, modeled clock
+     "critpath":   {...}}     # critical-path summary, the gate's diff input
 
 Scenario classes (ISSUE 5):
 
@@ -111,27 +110,16 @@ def perf_workload():
     return Domain3D(nvars=PERF_NVARS, axis_scale=PERF_AXIS_SCALE)
 
 
-def perf_record(modeled_ns: float, spans, registry, critpath: dict) -> dict:
-    """The scenario perf record: exact modeled time, exclusive time per
-    span family for regression attribution, the per-family latency
-    percentiles of ``registry``, and the compact critical-path summary
-    (:func:`~repro.telemetry.critpath.critpath_summary`) the compare gate
-    diffs on failure."""
-    from ..telemetry import exclusive_ns_by_family
-    from ..telemetry.export import span_latency_percentiles
-
-    return {
-        "modeled_ns": modeled_ns,
-        "families": exclusive_ns_by_family(spans),
-        "latency": span_latency_percentiles(registry),
-        "critpath": critpath,
-    }
+def perf_record(modeled_ns: float, critpath: dict) -> dict:
+    """The scenario perf record: exact modeled time and the compact
+    critical-path summary (:func:`~repro.telemetry.critpath.
+    critpath_summary`) the compare gate diffs on failure."""
+    return {"modeled_ns": modeled_ns, "critpath": critpath}
 
 
 def record_from_spmd(res) -> dict:
     """Fold a finished :class:`~repro.sim.engine.SpmdResult` into the
     scenario perf record."""
-    from ..telemetry import merged_metrics
     from ..telemetry.critpath import (
         critical_path_spmd,
         critpath_summary,
@@ -141,8 +129,7 @@ def record_from_spmd(res) -> dict:
     offer_capture("spmd", res)
     # the causal record first, so critical_path_spmd reuses this replay
     modeled_ns = res.time(record_causal=True).makespan_ns
-    return perf_record(modeled_ns, res.traces, merged_metrics(res.traces),
-                       critpath_summary(critical_path_spmd(res)))
+    return perf_record(modeled_ns, critpath_summary(critical_path_spmd(res)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,34 +412,21 @@ def _kv_run(op: str, map_sync: bool) -> Callable[[], dict]:
 # The service runs on its own modeled clock (wire cost model + engine
 # batch makespans — repro.service.core docstring), so the whole RPC
 # pipeline is deterministic and gates like any single-rank scenario.
-# modeled_ns is the service-clock delta over a fixed request script;
-# families fold the lifecycle spans (service.accept/decode/dispatch/
+# modeled_ns is the service-clock delta over a fixed request script; the
+# critical path walks the lifecycle spans (service.accept/decode/dispatch/
 # engine/encode) together with the absorbed engine spans of the shard
 # batches, so a regression in either layer moves the attribution.
 
 def _service_record(core, t0: float) -> dict:
-    from ..telemetry import exclusive_ns_by_family, metrics_for
     from ..telemetry.critpath import (
         critical_path_spans,
         critpath_summary,
         offer_capture,
     )
-    from ..telemetry.export import registry_percentiles
 
     offer_capture("service", (core, t0))
-    latency = {
-        name[:-len(".ns")]: pct
-        for name, pct in registry_percentiles(metrics_for(core.ctx)).items()
-        if name.startswith("service.rpc.")
-    }
-    return {
-        "modeled_ns": core.clock_ns - t0,
-        "families": exclusive_ns_by_family([core.ctx.trace]),
-        "latency": latency,
-        "critpath": critpath_summary(
-            critical_path_spans(core.ctx.trace.spans, t0, core.clock_ns)
-        ),
-    }
+    return perf_record(core.clock_ns - t0, critpath_summary(
+        critical_path_spans(core.ctx.trace.spans, t0, core.clock_ns)))
 
 
 def _service_rpc_store() -> dict:

@@ -100,7 +100,6 @@ class PMEM:
         layout: str = "hashtable",
         map_sync: bool = False,
         pool_size: int | None = None,
-        nbuckets: int = 64,
         filters: tuple | list = (),
         meta_stripes: int | None = None,
         meta_rw: bool | None = None,
@@ -121,7 +120,7 @@ class PMEM:
         self.meta_rw = meta_rw
         if layout == "hashtable":
             self.layout: Layout = HashtableLayout(
-                map_sync=map_sync, nbuckets=nbuckets,
+                map_sync=map_sync,
                 meta_stripes=meta_stripes, meta_rw=meta_rw,
             )
         else:
@@ -691,8 +690,8 @@ class PMEM:
         out.update(self.layout.occupancy(ctx))
         out["metrics"] = metrics_for(ctx).as_dict()
         # p50/p95/p99 for every populated histogram, through the same
-        # registry_percentiles code path the service SLO report and the
-        # perf observatory render from
+        # registry_percentiles code path the service SLO report renders
+        # from
         out["percentiles"] = registry_percentiles(metrics_for(ctx))
         if ctx.env is not None and getattr(ctx.env, "device", None) is not None:
             out["device"] = ctx.env.device.persistence_counters()

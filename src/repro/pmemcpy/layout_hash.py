@@ -38,10 +38,9 @@ POOL_LANE_LOG = 32 * 1024
 class HashtableLayout(Layout):
     name = "hashtable"
 
-    def __init__(self, *, map_sync: bool = False, nbuckets: int = 64,
+    def __init__(self, *, map_sync: bool = False,
                  meta_stripes: int = 1, meta_rw: bool = False):
         self.map_sync = map_sync
-        self.nbuckets = nbuckets
         self.meta_stripes = meta_stripes
         self.meta_rw = meta_rw
         self.pool: PmemPool | None = None
@@ -78,7 +77,7 @@ class HashtableLayout(Layout):
                         ctx, mapping, size=pool_size,
                         nlanes=POOL_NLANES, lane_log_size=POOL_LANE_LOG,
                     )
-                    hmap = PmemHashmap.create(ctx, pool, nbuckets=self.nbuckets)
+                    hmap = PmemHashmap.create(ctx, pool)
                     table = PmemStripedLocks.alloc(
                         ctx, pool, self.meta_stripes, name=f"meta:{path}",
                         replay=self._replay_locks(self.meta_stripes),

@@ -111,9 +111,10 @@ class ServiceConfig:
     max_inflight: int = 1024
     #: max requests one shard batch may carry
     batch_max: int = 64
-    #: collect shard-engine spans into the service trace (rebased onto the
-    #: service clock) — perf scenarios want the attribution; the load
-    #: generator turns it off to keep million-request runs flat in memory
+    #: keep every span in the service trace, shard-engine spans included
+    #: (rebased onto the service clock) — perf scenarios walk that trace;
+    #: off, a request's spans leave it once offered to the flight
+    #: recorder, so ``serve`` and the load generator stay flat in memory
     collect_engine_spans: bool = True
     #: flight recorder: the 1-in-N sampling period for healthy requests
     flight_sample_every: int = 64
@@ -378,6 +379,11 @@ class ServiceCore:
             bytes_in=env.frame_bytes, bytes_out=len(resp),
             spans=env.spans,
         ))
+        if not self.cfg.collect_engine_spans:
+            # every span closes under the core lock and the requests still
+            # in flight hold their own in their envelopes: nothing reads
+            # the service trace, so it keeps none
+            self.ctx.trace.span_entries.clear()
         return resp
 
     # ------------------------------------------------------------------ one-shot

@@ -32,7 +32,7 @@ Latencies (including queueing and retry delay) are observed into ordinary
 :class:`repro.telemetry` histograms; the SLO report and the saturation
 sweep render p50/p95/p99 through the same
 :func:`~repro.telemetry.export.registry_percentiles` code path as
-``PMEM.stats()`` and the perf observatory.
+``PMEM.stats()``.
 """
 
 from __future__ import annotations

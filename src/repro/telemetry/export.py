@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 from .metrics import Histogram, MetricRegistry, _fmt_quantity
-from .spans import Span, as_span_list, child_ns_index, family_of
+from .spans import Span, as_span_list, child_ns_index
 
 #: span names that carry a ``var`` attribute and count as I/O operations
 #: for the Darshan record table, mapped to their direction
@@ -336,7 +336,7 @@ def registry_percentiles(
     populated histogram of a registry.
 
     The one shared spelling of registry-wide percentile extraction:
-    ``PMEM.stats()``, the service SLO report, and the perf observatory all
+    ``PMEM.stats()``, the service SLO report and the telemetry report all
     consume this instead of re-deriving bucket math per caller."""
     out: dict[str, dict[str, float]] = {}
     for name in metrics.names():
@@ -344,16 +344,3 @@ def registry_percentiles(
         if isinstance(h, Histogram) and h.count:
             out[name] = h.percentiles(ps)
     return out
-
-
-def span_latency_percentiles(
-    metrics: MetricRegistry, ps: tuple[float, ...] = (0.5, 0.95, 0.99)
-) -> dict[str, dict[str, float]]:
-    """``{family: {"p50": ..., "p95": ..., "p99": ...}}`` from the
-    auto-observed ``span.<name>.ns`` latency histograms of a registry —
-    the latency view the perf observatory records per scenario."""
-    return {
-        family_of(name[len("span."):-len(".ns")]): pct
-        for name, pct in registry_percentiles(metrics, ps).items()
-        if name.startswith("span.") and name.endswith(".ns")
-    }

@@ -212,8 +212,7 @@ class Histogram:
         """``{"p50": ..., "p95": ..., "p99": ...}`` upper-edge estimates.
 
         The one shared spelling of percentile extraction — report renderers
-        and the perf observatory consume this instead of re-deriving bucket
-        math.  Keys are ``p<100q>`` (``0.999`` -> ``p99.9``)."""
+        consume this instead of re-deriving bucket math.  Keys are ``p<100q>`` (``0.999`` -> ``p99.9``)."""
         return {f"p{100 * p:g}": self.quantile(p) for p in ps}
 
     def nonzero_buckets(self) -> list[tuple[float, int]]:

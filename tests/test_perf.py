@@ -1,9 +1,9 @@
 """The performance-regression observatory (``repro.perf``).
 
-Covers the ISSUE 5 acceptance bar: registry integrity, exact modeled-ns
-reproducibility of the deterministic scenarios, regression detection on
-a synthetic slowdown, span-family attribution ranking, the unified bench
-schema, and the baseline round-trip.  Real-measurement tests stick to
+Covers registry integrity, exact modeled-ns reproducibility of the
+deterministic scenarios, regression detection on a synthetic slowdown,
+critical-path attribution of that slowdown, the unified bench schema,
+and the baseline round-trip.  Real-measurement tests stick to
 the cheap single-rank scenarios so the suite stays tier-1 sized; the
 LOCK_OVERHEAD_NS selftest (which needs the 8-rank meta scenarios) is
 exercised through the same code path the CI job runs.
@@ -18,7 +18,6 @@ from repro.perf import (
     MODELED_GATE_FRAC,
     Measurement,
     all_scenarios,
-    attribute_families,
     baseline_from_runs,
     compare_runs,
     get,
@@ -26,7 +25,6 @@ from repro.perf import (
     measure_scenario,
     save_baseline,
     select,
-    sparkline,
 )
 from repro.perf.__main__ import main as perf_main
 from repro.perf.scenarios import FIG_PROCS, GROUPS
@@ -105,44 +103,36 @@ def test_deterministic_scenarios_reproduce_exactly(name):
     a = measure_scenario(s)
     b = measure_scenario(s)
     assert a.modeled_ns == b.modeled_ns
-    assert a.families == b.families
+    assert a.critpath == b.critpath
     assert a.modeled_ns > 0
-    assert a.families, "span families must be recorded"
+    assert a.critpath["families"], "critical-path families must be recorded"
 
 
 def test_measurement_run_record_round_trips():
     m = measure_scenario(get("pmdk.tx_commit"))
     rec = m.as_run()
+    assert set(rec) == {"scenario", "group", "deterministic", "modeled_ns",
+                        "critpath"}
     back = Measurement.from_run(json.loads(json.dumps(rec)))
-    assert back.modeled_ns == m.modeled_ns
-    assert back.families == m.families
-    # tx scenario exercises the pmdk transaction spans
-    assert "pmdk.tx" in m.families
-
-
-# ---------------------------------------------------------------------------
-# attribution ranking
-# ---------------------------------------------------------------------------
-
-
-def test_attribute_families_ranks_by_delta_and_shares_sum_to_one():
-    base = {"meta.lock": 100.0, "store.persist": 500.0, "memcpy": 50.0}
-    cur = {"meta.lock": 700.0, "store.persist": 600.0, "memcpy": 40.0}
-    ranked = attribute_families(base, cur)
-    assert [d.family for d in ranked] == \
-        ["meta.lock", "store.persist", "memcpy"]
-    assert ranked[0].delta_ns == 600.0
-    gained = [d for d in ranked if d.delta_ns > 0]
-    assert sum(d.share for d in gained) == pytest.approx(1.0)
-    assert ranked[0].share == pytest.approx(600.0 / 700.0)
-    # families only present on one side still appear
-    ranked2 = attribute_families({}, {"pmdk.tx": 5.0})
-    assert ranked2[0].family == "pmdk.tx" and ranked2[0].share == 1.0
+    assert back == m
+    # tx scenario's critical path runs through the pmdk transaction spans
+    assert "pmdk.tx" in m.critpath["families"]
 
 
 # ---------------------------------------------------------------------------
 # regression gating (synthetic records — no measurement needed)
 # ---------------------------------------------------------------------------
+
+
+def _critpath(families: dict) -> dict:
+    """A critpath summary whose path is exactly ``families``."""
+    total = sum(families.values())
+    return {
+        "total_ns": total,
+        "families": {f: {"ns": ns, "share": ns / total}
+                     for f, ns in sorted(families.items())},
+        "source": "replay",
+    }
 
 
 def _run_record(name="mem.memcpy_persist", modeled=1_000_000.0,
@@ -152,9 +142,8 @@ def _run_record(name="mem.memcpy_persist", modeled=1_000_000.0,
         "group": group,
         "deterministic": True,
         "modeled_ns": modeled,
-        "families": families or {"memcpy": modeled * 0.6,
-                                 "store.persist": modeled * 0.4},
-        "latency": {},
+        "critpath": _critpath(families or {"memcpy": modeled * 0.6,
+                                           "store.persist": modeled * 0.4}),
     }
     if tol is not None:
         rec["modeled_tolerance_frac"] = tol
@@ -181,11 +170,41 @@ def test_compare_flags_modeled_regression_with_attribution():
     v = rep.regressions[0]
     assert v.status == "modeled-regression"
     assert v.modeled_delta_frac == pytest.approx(0.06)
-    # all of the +60us landed in store.persist
-    assert v.attribution[0].family == "store.persist"
-    assert rep.top_family() == "store.persist"
-    assert "RESULT: FAIL" in rep.render()
-    assert "store.persist" in rep.render()
+    # all of the +60us of critical path landed in store.persist
+    assert [c["family"] for c in v.critpath_culprits] == ["store.persist"]
+    assert v.critpath_culprits[0]["delta_ns"] == 60_000.0
+    assert rep.top_critpath_family() == "store.persist"
+    text = rep.render()
+    assert "TOP CRITICAL-PATH FAMILY: store.persist" in text
+    assert "RESULT: FAIL" in text
+
+
+def test_parent_format_records_load_and_gate_identically():
+    """Records that still carry the exclusive-time ``families`` and
+    ``latency`` maps load as if those keys were absent, and the gate
+    reaches the same verdicts and culprits."""
+    def with_legacy(rec):
+        return {**rec, "families": {"memcpy": 1.0, "pmdk.tx": 2.0},
+                "latency": {"memcpy": {"p50": 1.0, "p95": 2.0, "p99": 3.0}}}
+
+    base = [_run_record(), _run_record(name="meta.lock_single",
+                                       group="meta", tol=0.03)]
+    cur = [_run_record(modeled=1_060_000.0,
+                       families={"memcpy": 600_000.0,
+                                 "store.persist": 460_000.0}),
+           _run_record(name="meta.lock_single", group="meta", tol=0.03,
+                       modeled=1_010_000.0)]
+    legacy_base = {"schema": baseline_from_runs(base)["schema"],
+                   "scenarios": {r["scenario"]: with_legacy(r)
+                                 for r in base}}
+    assert Measurement.from_run(with_legacy(cur[0])) == \
+        Measurement.from_run(cur[0])
+    assert (compare_runs(legacy_base, [with_legacy(r) for r in cur])
+            .as_dict() ==
+            compare_runs(baseline_from_runs(base), cur).as_dict())
+    # and a legacy run snapshots to the slim baseline entry
+    assert baseline_from_runs([with_legacy(r) for r in base]) == \
+        baseline_from_runs(base)
 
 
 def test_compare_reports_improvement_not_failure():
@@ -227,7 +246,7 @@ def test_compare_tracks_new_and_missing_scenarios():
 def test_selftest_inflated_lock_overhead_fails_with_meta_lock_top(capsys):
     assert perf_main(["selftest", "--factor", "400"]) == 0
     out = capsys.readouterr().out
-    assert "TOP ATTRIBUTED FAMILY: meta.lock" in out
+    assert "TOP CRITICAL-PATH FAMILY: meta.lock" in out
     assert "RESULT: FAIL" in out  # the synthetic regression must fail
 
 
@@ -277,8 +296,9 @@ def test_committed_baseline_matches_registry():
     assert "env" not in doc
     for name, entry in doc["scenarios"].items():
         assert entry["modeled_ns"] > 0, name
-        assert entry["families"], name
-        assert "wall" not in entry, name
+        assert entry["critpath"]["families"], name
+        assert set(entry) <= {"group", "deterministic", "modeled_ns",
+                              "critpath", "modeled_tolerance_frac"}, name
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +324,8 @@ def test_cli_run_compare_update_baseline_cycle(tmp_path, monkeypatch, capsys):
     assert verdicts["ok"] is True
     assert verdicts["scenarios"][0]["scenario"] == "pmdk.tx_commit"
     assert "RESULT: PASS" in (tmp_path / "r.txt").read_text()
-    assert perf_main(["report", "--bench", bench, "--baseline", base,
-                      "--history", bench]) == 0
     out = capsys.readouterr().out
     assert "pmdk.tx_commit" in out
-
-
-def test_sparkline_shape():
-    assert sparkline([]) == ""
-    assert len(sparkline([1.0, 2.0, 3.0])) == 3
-    flat = sparkline([5.0, 5.0])
-    assert len(set(flat)) == 1
 
 
 def test_pre_v3_baselines_are_rejected(tmp_path):

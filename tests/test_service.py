@@ -251,6 +251,35 @@ def test_core_modeled_clock_is_deterministic():
     assert run() == run()
 
 
+def test_core_trace_stays_flat_without_engine_spans(monkeypatch):
+    """With ``collect_engine_spans`` off, a request's spans leave the
+    service trace once offered to the flight recorder: many requests keep
+    the trace bounded, and STATS counters/latency equal a run that keeps
+    every span."""
+    monkeypatch.setenv("REPRO_TRACE", "full")
+
+    def run(collect: bool):
+        core = ServiceCore(ServiceConfig(nshards=2,
+                                         collect_engine_spans=collect))
+        a = np.arange(64, dtype=np.float64)
+        held = []
+        for i in range(300):
+            _rpc(core, wire.encode_store(2 * i + 1, f"v{i % 8}", a))
+            _rpc(core, wire.encode_load(2 * i + 2, f"v{i % 8}"))
+            held.append(len(core.ctx.trace.span_entries))
+        return core, held
+
+    flat, held = run(False)
+    full, held_full = run(True)
+    assert max(held) == 0
+    assert held_full[-1] >= 5 * 600  # five pipeline stages per request
+    assert len(flat.flight) == len(full.flight) > 0
+    a, b = flat.stats(), full.stats()
+    assert a["clock_ns"] == b["clock_ns"]
+    assert a["counters"] == b["counters"]
+    assert a["latency"] == b["latency"]
+
+
 def test_core_admission_control_backpressure():
     core = ServiceCore(ServiceConfig(nshards=1, max_inflight=2))
     core.admit()
