@@ -98,6 +98,19 @@ class CollectiveAbortedError(CommunicatorError):
     unwinding skips these when picking the exception to surface."""
 
 
+class DeadlockError(MPIError):
+    """No rank of a run can take a turn: every unfinished rank waits on
+    something no runnable rank can provide.  ``blocked`` maps each waiting
+    rank to what it waits for.  Also a casualty when another rank failed
+    first and left its peers stranded."""
+
+    def __init__(self, blocked: dict[int, str]):
+        super().__init__("no rank can run: " + "; ".join(
+            f"rank {r} waits for {what}" for r, what in sorted(blocked.items())
+        ))
+        self.blocked = blocked
+
+
 class RankFailedError(MPIError):
     """A peer rank raised; collective operations propagate this."""
 

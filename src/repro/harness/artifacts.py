@@ -46,25 +46,6 @@ ARTIFACTS = {
     "serializer_ablation": "serializers",
 }
 
-#: cells that do not regenerate exactly, with their spread over the
-#: regenerations recorded in EXPERIMENTS.md "E-claims": rank threads race
-#: for shared pages and locks, so multi-rank traces are not deterministic yet
-JITTER = {
-    "fig6_writes": "PMCPY-B write cells moved by up to 2.8%, PMCPY-A's by "
-                   "up to 0.3%",
-    "fig7_reads": "the PMCPY-A 48p cell moved by up to 0.1%",
-    "mapsync_ablation": "the cells move with the figures' PMCPY cells "
-                        "(MAP_SYNC on, write: up to 2.8%)",
-    "copy_breakdown": "the buckets move with the figures' PMCPY-B write "
-                      "cells (up to 0.02 s)",
-    "collective_io": "independent rows moved by up to 19%",
-    "layout_ablation": "hashtable rows moved by up to 3.7%, hierarchical "
-                       "rows by up to 1.3%",
-    "partial_reads": "the PMCPY-A plane cell read 0.8543 s instead of "
-                     "0.8544 s in 2 of 8",
-}
-
-
 @dataclass
 class Artifact:
     name: str                 # results/<name>.{csv,txt}
@@ -79,10 +60,6 @@ class Artifact:
 
     def render(self) -> str:
         parts = [self.text]
-        if self.name in JITTER:
-            parts.insert(0, f"Jitter across earlier regenerations: "
-                            f"{JITTER[self.name]}; every other cell was "
-                            "equal in all of them.")
         if self.checks:
             parts.append(render_table(
                 f"{self.name}: claims checked", ["claim", "verdict"],

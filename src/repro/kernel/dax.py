@@ -29,10 +29,9 @@ mapping first-touch, counted at cacheline granularity and scaled to page
 fractions (every fresh mapping re-faults, which is what Fig. 7 measures,
 and the charge follows the bytes actually read rather than which model
 pages the allocator packed them into).  The *aggregate* write-side charge
-is arrival-order-independent, but which rank absorbs the commit for a
-shared metadata page is first-writer-wins — as on real hardware — so
-high-rank-count makespans carry a few percent of attribution jitter
-(scenarios that measure them declare a widened tolerance; DESIGN.md §11).
+is arrival-order-independent; which rank absorbs the commit for a shared
+metadata page is first-writer-wins — as on real hardware — and the run's
+fixed rank schedule (:mod:`repro.sim.engine`) decides who writes first.
 """
 
 from __future__ import annotations
@@ -658,11 +657,8 @@ class DaxMapping:
             # page, from any mapping by any rank, are minor.  The
             # committed-page set lives on the device, so every mapping
             # sees one global set.  Which rank absorbs the commit for a
-            # *shared* metadata page is arrival-order-dependent — exactly
-            # as on real hardware — so high-rank-count makespans carry a
-            # few percent of attribution jitter (the PMCPY-B fig6 cells
-            # past 8p declare a widened modeled_tolerance_frac for this;
-            # DESIGN.md §11).
+            # *shared* metadata page is first-writer-wins, and the run's
+            # rank schedule fixes who that is.
             if dev is not None:
                 ncommit = self._sync_commit(dev, size)
             else:

@@ -2,8 +2,7 @@
 
 Turns the repo's one-shot benchmarks into a tracked, gated series of
 modeled-clock records, one per scenario:
-``{scenario, group, deterministic, modeled_ns, critpath}`` plus a
-declared ``modeled_tolerance_frac`` where a scenario jitters.
+``{scenario, group, modeled_ns, critpath}``.
 
 - :mod:`.scenarios` — declarative registry of perf scenarios (fig6/fig7
   per driver × proc count, pmdk micros, metadata-lock contention, the
@@ -12,8 +11,8 @@ declared ``modeled_tolerance_frac`` where a scenario jitters.
 - :mod:`.measure` — one ``REPRO_TRACE=full`` run per scenario;
 - :mod:`.baseline` — the committed ``results/perf_baseline.json``
   snapshot;
-- :mod:`.compare` — the modeled gate (±1% hard, or a scenario's declared
-  tolerance) with **critical-path attribution**: a failing gate diffs
+- :mod:`.compare` — the modeled gate (±1% hard, for every scenario) with
+  **critical-path attribution**: a failing gate diffs
   baseline and current critical paths and ranks the span families
   (``meta.lock``, ``store.persist``, ``pmdk.tx``, ...) whose path time
   grew.

@@ -312,8 +312,8 @@ def cmd_doctor(args) -> int:
 def _doctor_selftest() -> int:
     """The doctor's own gate (CI: ``perf doctor --selftest``):
 
-    1. byte-identical critpath JSON across two runs of a deterministic
-       scenario;
+    1. byte-identical critpath JSON across two runs of a single-rank and
+       of a multi-rank scenario;
     2. per-family critical-path shares summing to 100% ± 0.1% of the
        end-to-end modeled time, on a single-rank, a lock-bound, a service
        and a multi-rank fig6 scenario;
@@ -330,11 +330,12 @@ def _doctor_selftest() -> int:
 
     failures: list[str] = []
 
-    print("[doctor-selftest] 1/3 byte-stable output (mem.memcpy_persist)")
-    doc_a = _analyze_scenario("mem.memcpy_persist")[0]
-    doc_b = _analyze_scenario("mem.memcpy_persist")[0]
-    if critpath_dumps(doc_a) != critpath_dumps(doc_b):
-        failures.append("critpath JSON differs between two identical runs")
+    print("[doctor-selftest] 1/3 byte-stable output, one and eight ranks")
+    for name in ("mem.memcpy_persist", "fig6.PMCPY-B.8p"):
+        doc_a = _analyze_scenario(name)[0]
+        if critpath_dumps(doc_a) != critpath_dumps(_analyze_scenario(name)[0]):
+            failures.append(
+                f"{name}: critpath JSON differs between two identical runs")
 
     print("[doctor-selftest] 2/3 shares sum to 100% of modeled time")
     names = ["mem.memcpy_persist", "meta.lock_single",

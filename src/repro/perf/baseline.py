@@ -4,9 +4,9 @@ The baseline is a snapshot of every scenario's tracked figures, written
 by ``python -m repro.perf update-baseline`` and committed to the repo.
 ``compare`` gates the current run against it:
 
-**modeled_ns** is exact (deterministic simulator clock), so any drift
-is a real code change — the gate is a hard ±1%, widened only where a
-scenario declares its own ``modeled_tolerance_frac``.  The baseline holds
+**modeled_ns** is exact (deterministic simulator clock, one rank
+schedule), so any drift is a real code change — the gate is a hard ±1%
+for every scenario.  The baseline holds
 no host figures: they would only be comparable on the machine that
 produced them, and ``bench/`` owns that clock.
 
@@ -31,13 +31,7 @@ def baseline_from_runs(runs: list[dict]) -> dict:
     scenarios = {}
     for r in runs:
         m = Measurement.from_run(r)
-        entry = {
-            "group": m.group,
-            "deterministic": m.deterministic,
-            "modeled_ns": m.modeled_ns,
-        }
-        if m.modeled_tolerance_frac is not None:
-            entry["modeled_tolerance_frac"] = m.modeled_tolerance_frac
+        entry = {"group": m.group, "modeled_ns": m.modeled_ns}
         if m.critpath is not None:
             entry["critpath"] = m.critpath
         scenarios[m.scenario] = entry

@@ -2,8 +2,7 @@
 
 The simulator clock is deterministic, so the delta between baseline and
 current ``modeled_ns`` is exact: anything beyond ±:data:`MODELED_GATE_FRAC`
-(1%), or a scenario's own declared ``modeled_tolerance_frac`` when wider,
-is a real change.  Slowdowns fail; speedups are reported as ``improved``
+(1%) is a real change.  Slowdowns fail; speedups are reported as ``improved``
 (refresh the baseline).  Host wall time is not gated here — ``bench/``
 owns that clock.
 
@@ -154,17 +153,9 @@ def compare_runs(baseline_doc: dict, runs: list[dict]) -> CompareReport:
             continue
         base_ns = float(base["modeled_ns"])
         delta_frac = (m.modeled_ns - base_ns) / base_ns if base_ns else 0.0
-        # jittery scenarios (replayed lock-queueing order) widen their own
-        # gate; declared in the scenario registry and snapshotted in both
-        # the baseline and the run record — take whichever is recorded
-        tol = max(
-            float(base.get("modeled_tolerance_frac") or 0.0),
-            float(m.modeled_tolerance_frac or 0.0),
-        )
-        gate_frac = max(MODELED_GATE_FRAC, tol)
-        if delta_frac > gate_frac:
+        if delta_frac > MODELED_GATE_FRAC:
             status = "modeled-regression"
-        elif delta_frac < -gate_frac:
+        elif delta_frac < -MODELED_GATE_FRAC:
             status = "improved"
         else:
             status = "ok"

@@ -22,9 +22,7 @@ class Measurement:
 
     scenario: str
     group: str
-    deterministic: bool
     modeled_ns: float
-    modeled_tolerance_frac: float | None = None
     #: compact critical-path summary ({"total_ns", "families", "source"})
     #: from the scenario's causal replay; absent on legacy records
     critpath: dict | None = None
@@ -33,11 +31,8 @@ class Measurement:
         out = {
             "scenario": self.scenario,
             "group": self.group,
-            "deterministic": self.deterministic,
             "modeled_ns": self.modeled_ns,
         }
-        if self.modeled_tolerance_frac is not None:
-            out["modeled_tolerance_frac"] = self.modeled_tolerance_frac
         if self.critpath is not None:
             out["critpath"] = self.critpath
         return out
@@ -46,13 +41,10 @@ class Measurement:
     def from_run(cls, d: dict) -> "Measurement":
         """Read a ``runs[]`` record; keys it does not track (such as the
         ``families``/``latency`` maps of older records) are ignored."""
-        tol = d.get("modeled_tolerance_frac")
         return cls(
             scenario=d["scenario"],
             group=d.get("group", ""),
-            deterministic=bool(d.get("deterministic", False)),
             modeled_ns=float(d["modeled_ns"]),
-            modeled_tolerance_frac=float(tol) if tol is not None else None,
             critpath=d.get("critpath"),
         )
 
@@ -71,9 +63,7 @@ def measure_scenario(scenario: Scenario) -> Measurement:
     return Measurement(
         scenario=scenario.name,
         group=scenario.group,
-        deterministic=scenario.deterministic,
         modeled_ns=float(record["modeled_ns"]),
-        modeled_tolerance_frac=scenario.modeled_tolerance_frac,
         critpath=record["critpath"],
     )
 

@@ -19,12 +19,10 @@ Scenario classes (ISSUE 5):
 - ``kv.*`` — single-rank overwrite/load/delete of small variables through
   the scalar pool path, with MAP_SYNC off and on.
 
-``deterministic`` marks scenarios whose modeled_ns reproduces *exactly*
-across runs (single-rank jobs).  Multi-rank fig sweeps carry
-parts-per-million jitter from thread-arrival order in the functional
-pass — far below the ±1% modeled gate; the lock-contention scenarios
-jitter ~1% (replayed queueing order) and declare a wider
-``modeled_tolerance_frac`` instead (DESIGN.md §10).
+Every scenario's modeled_ns reproduces *exactly* across runs: ranks take
+turns in one fixed schedule (:mod:`repro.sim.engine`), so multi-rank
+traces are as repeatable as single-rank ones and one gate, ±1%, covers
+them all (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -55,12 +53,7 @@ class Scenario:
     name: str            # e.g. "fig6.PMCPY-A.8p"
     group: str           # one of GROUPS
     quick: bool          # included in the --quick budget
-    deterministic: bool  # modeled_ns reproduces exactly across runs
     run: Callable[[], dict]
-    #: scenarios whose replayed lock-queueing order carries known modeled
-    #: jitter widen their own gate beyond the global ±1% (compare takes
-    #: the max); None = the global gate applies
-    modeled_tolerance_frac: float | None = None
 
 
 _REGISTRY: dict[str, Scenario] = {}
@@ -411,7 +404,7 @@ def _kv_run(op: str, map_sync: bool) -> Callable[[], dict]:
 #
 # The service runs on its own modeled clock (wire cost model + engine
 # batch makespans — repro.service.core docstring), so the whole RPC
-# pipeline is deterministic and gates like any single-rank scenario.
+# pipeline is deterministic and gates like every other scenario.
 # modeled_ns is the service-clock delta over a fixed request script; the
 # critical path walks the lifecycle spans (service.accept/decode/dispatch/
 # engine/encode) together with the absorbed engine spans of the shard
@@ -482,54 +475,42 @@ def _populate() -> None:
     for library in PAPER_LIBRARIES:
         for nprocs in FIG_PROCS:
             quick = nprocs in QUICK_FIG_PROCS
-            # MAP_SYNC write makespans at high rank counts carry a few
-            # percent of commit-attribution jitter (first-writer-wins on
-            # shared metadata pages — kernel/dax.py docstring): widen the
-            # gate for the PMCPY-B write cells beyond the 8p point
-            tol = 0.06 if (library == "PMCPY-B" and nprocs > 8) else None
             _register(Scenario(
-                f"fig6.{library}.{nprocs}p", "fig6", quick, False,
+                f"fig6.{library}.{nprocs}p", "fig6", quick,
                 _fig_run(library, nprocs, "write"),
-                modeled_tolerance_frac=tol,
             ))
             _register(Scenario(
-                f"fig7.{library}.{nprocs}p", "fig7", quick, False,
+                f"fig7.{library}.{nprocs}p", "fig7", quick,
                 _fig_run(library, nprocs, "read"),
             ))
-    _register(Scenario("pmdk.alloc_churn", "pmdk", True, True,
-                       _pmdk_alloc_churn))
-    _register(Scenario("pmdk.tx_commit", "pmdk", True, True,
-                       _pmdk_tx_commit))
-    # lock-contention makespans jitter ~1% with replayed queueing order:
-    # widen their gate to 3% (the selftest's synthetic slowdown is >100x)
-    _register(Scenario("meta.lock_striped", "meta", True, False,
-                       _meta_run(64, True), modeled_tolerance_frac=0.03))
-    _register(Scenario("meta.lock_single", "meta", True, False,
-                       _meta_run(1, False), modeled_tolerance_frac=0.03))
-    _register(Scenario("mem.memcpy_persist", "mem", True, True,
-                       _mem_hot_path))
+    _register(Scenario("pmdk.alloc_churn", "pmdk", True, _pmdk_alloc_churn))
+    _register(Scenario("pmdk.tx_commit", "pmdk", True, _pmdk_tx_commit))
+    _register(Scenario("meta.lock_striped", "meta", True,
+                       _meta_run(64, True)))
+    _register(Scenario("meta.lock_single", "meta", True,
+                       _meta_run(1, False)))
+    _register(Scenario("mem.memcpy_persist", "mem", True, _mem_hot_path))
     for op in ("overwrite", "load", "delete"):
         for map_sync in (False, True):
             _register(Scenario(
                 f"kv.{op}.sync" if map_sync else f"kv.{op}", "kv", True,
-                True, _kv_run(op, map_sync),
+                _kv_run(op, map_sync),
             ))
     for library in PAPER_LIBRARIES:
         for kind in ("1pct", "plane", "points"):
             _register(Scenario(
-                f"partial.{kind}.{library}", "partial",
-                kind == "1pct", False,
+                f"partial.{kind}.{library}", "partial", kind == "1pct",
                 _partial_run(library, kind),
             ))
     for library in ("PMCPY-A", "PMCPY-B"):
         for kind in ("plane", "points"):
             _register(Scenario(
-                f"partial.{kind}.{library}.raw", "partial", False, False,
+                f"partial.{kind}.{library}.raw", "partial", False,
                 _partial_run(library, kind, serializer="raw"),
             ))
-    _register(Scenario("service.rpc_store", "service", True, True,
+    _register(Scenario("service.rpc_store", "service", True,
                        _service_rpc_store))
-    _register(Scenario("service.rpc_load_partial", "service", True, True,
+    _register(Scenario("service.rpc_load_partial", "service", True,
                        _service_rpc_load_partial))
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 
 from ..errors import PmdkError
+from ..sim.engine import wait_until
 from ..telemetry import metrics_for
 
 #: modeled cost of an uncontended persistent-lock acquire/release pair
@@ -50,16 +51,19 @@ LOCK_OVERHEAD_NS = 60.0
 # only; runtime arbitration is delegated to an in-process core.  A pool's
 # CoreRegistry hands out one core per lock identity (pool offset), so every
 # handle to the same lock — each rank's PmemMutex, PmemRWLock or hashmap
-# built over that offset — arbitrates on the same core.
+# built over that offset — arbitrates on the same core.  A core that is
+# held waits through the run's schedule (repro.sim.engine.wait_until), so
+# a blocked acquire hands the baton on and a lock-order cycle raises
+# DeadlockError instead of hanging.
 
 
 class _ThreadMutexCore:
     """In-process mutex core; ``acquire`` returns the contended flag."""
 
-    __slots__ = ("_lock", "_holder", "_depth", "reentrant")
+    __slots__ = ("label", "_holder", "_depth", "reentrant")
 
-    def __init__(self, *, reentrant: bool = False):
-        self._lock = threading.Lock()
+    def __init__(self, label: str, *, reentrant: bool = False):
+        self.label = label
         self._holder = None
         self._depth = 0
         self.reentrant = reentrant
@@ -73,9 +77,9 @@ class _ThreadMutexCore:
             raise PmdkError(
                 "non-reentrant lock acquired again by its holder"
             )
-        contended = not self._lock.acquire(blocking=False)
+        contended = self._holder is not None
         if contended:
-            self._lock.acquire()
+            wait_until(lambda: self._holder is None, f"mutex {self.label}")
         self._holder = me
         self._depth = 1
         return contended
@@ -86,21 +90,22 @@ class _ThreadMutexCore:
         self._depth -= 1
         if self._depth == 0:
             self._holder = None
-            self._lock.release()
 
 
 class _ThreadRWCore:
     """Volatile reader-writer arbitration: writer-preferring, non-reentrant.
 
-    ``acquire_*`` return True when the caller had to contend (someone held
+    ``acquire_*`` return True when the caller had to wait (someone held
     or was queued for the lock in an incompatible mode at entry) — the
-    signal behind the ``meta.lock.contended`` telemetry counter.
+    signal behind the ``meta.lock.contended`` telemetry counter.  Ranks
+    take turns, so that happens only where a holder handed the baton on
+    while holding the lock.
     """
 
-    __slots__ = ("_cond", "_readers", "_writer", "_waiting_writers")
+    __slots__ = ("label", "_readers", "_writer", "_waiting_writers")
 
-    def __init__(self):
-        self._cond = threading.Condition()
+    def __init__(self, label: str):
+        self.label = label
         self._readers: set = set()
         self._writer = None
         self._waiting_writers = 0
@@ -111,45 +116,44 @@ class _ThreadRWCore:
                 "non-reentrant lock acquired again by its holding thread"
             )
 
+    def _readable(self) -> bool:
+        return self._writer is None and not self._waiting_writers
+
+    def _writable(self) -> bool:
+        return self._writer is None and not self._readers
+
     def acquire_read(self) -> bool:
         me = threading.current_thread()
-        with self._cond:
-            self._check_reentry(me)
-            contended = self._writer is not None or self._waiting_writers > 0
-            while self._writer is not None or self._waiting_writers > 0:
-                self._cond.wait()
-            self._readers.add(me)
-            return contended
+        self._check_reentry(me)
+        contended = not self._readable()
+        if contended:
+            wait_until(self._readable, f"read lock {self.label}")
+        self._readers.add(me)
+        return contended
 
     def acquire_write(self) -> bool:
         me = threading.current_thread()
-        with self._cond:
-            self._check_reentry(me)
-            contended = self._writer is not None or bool(self._readers)
+        self._check_reentry(me)
+        contended = not self._writable()
+        if contended:
             self._waiting_writers += 1
             try:
-                while self._writer is not None or self._readers:
-                    self._cond.wait()
+                wait_until(self._writable, f"write lock {self.label}")
             finally:
                 self._waiting_writers -= 1
-            self._writer = me
-            return contended
+        self._writer = me
+        return contended
 
     def release_read(self) -> None:
         me = threading.current_thread()
-        with self._cond:
-            if me not in self._readers:
-                raise PmdkError("releasing a read lock this thread holds not")
-            self._readers.discard(me)
-            self._cond.notify_all()
+        if me not in self._readers:
+            raise PmdkError("releasing a read lock this thread holds not")
+        self._readers.discard(me)
 
     def release_write(self) -> None:
-        me = threading.current_thread()
-        with self._cond:
-            if me is not self._writer:
-                raise PmdkError("releasing a write lock this thread holds not")
-            self._writer = None
-            self._cond.notify_all()
+        if threading.current_thread() is not self._writer:
+            raise PmdkError("releasing a write lock this thread holds not")
+        self._writer = None
 
 
 class CoreLock:
@@ -172,28 +176,26 @@ class CoreLock:
 
 class CoreRegistry:
     """A pool's volatile lock cores, memoized by key so every handle to the
-    same lock identity arbitrates together."""
+    same lock identity arbitrates together.  Ranks reach it only while
+    holding their run's baton, so it takes no lock of its own."""
 
     def __init__(self):
-        self._guard = threading.Lock()
         self._mutexes: dict = {}
         self._rws: dict = {}
 
     def mutex_core(self, key, *, reentrant: bool = False) -> _ThreadMutexCore:
-        with self._guard:
-            core = self._mutexes.get(key)
-            if core is None:
-                core = self._mutexes[key] = _ThreadMutexCore(
-                    reentrant=reentrant
-                )
-            return core
+        core = self._mutexes.get(key)
+        if core is None:
+            core = self._mutexes[key] = _ThreadMutexCore(
+                repr(key), reentrant=reentrant
+            )
+        return core
 
     def rw_core(self, key) -> _ThreadRWCore:
-        with self._guard:
-            core = self._rws.get(key)
-            if core is None:
-                core = self._rws[key] = _ThreadRWCore()
-            return core
+        core = self._rws.get(key)
+        if core is None:
+            core = self._rws[key] = _ThreadRWCore(repr(key))
+        return core
 
 
 def _note_acquire(ctx, contended: bool) -> None:
@@ -402,7 +404,7 @@ class VolatileRWLock:
     def __init__(self, name: str, *, replay: bool = True):
         self.name = name
         self.replay = replay
-        self._core = _ThreadRWCore()
+        self._core = _ThreadRWCore(name)
 
     def acquire_read(self, ctx) -> bool:
         contended = self._core.acquire_read()

@@ -38,6 +38,7 @@ from ..errors import BadAddressError, PoolCorruptError
 from ..kernel.dax import touch_rows
 from ..mem.device import PMEMDevice
 from ..mem.memcpy import charge_pmem_read, charge_pmem_write
+from ..sim.engine import wait_until
 from ..telemetry import metrics_for, span
 from .alloc import Heap
 from .locks import CoreRegistry
@@ -116,7 +117,6 @@ class PmemPool:
         self.lane_log_size = 0
         self.lanes_off = 0
         self._lane_free: set[int] = set()
-        self._lane_cond = threading.Condition()
         #: volatile lock cores for every lock living in this pool
         self.locks = CoreRegistry()
 
@@ -270,18 +270,14 @@ class PmemPool:
     def acquire_lane(self, preferred: int | None = None) -> int:
         """Take a free lane — the ``preferred`` one when it is free (rank
         determinism; see :class:`~repro.pmdk.tx.Transaction`), else any."""
-        with self._lane_cond:
-            while not self._lane_free:
-                self._lane_cond.wait()
-            if preferred is not None and preferred in self._lane_free:
-                self._lane_free.discard(preferred)
-                return preferred
-            return self._lane_free.pop()
+        wait_until(lambda: self._lane_free, "a free pool lane")
+        if preferred is not None and preferred in self._lane_free:
+            self._lane_free.discard(preferred)
+            return preferred
+        return self._lane_free.pop()
 
     def release_lane(self, lane: int) -> None:
-        with self._lane_cond:
-            self._lane_free.add(lane)
-            self._lane_cond.notify()
+        self._lane_free.add(lane)
 
     def _recover(self, ctx) -> None:
         """Apply every lane's undo log backward (crash rollback).

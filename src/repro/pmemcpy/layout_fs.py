@@ -21,8 +21,6 @@ serialize against everyone.  Lock order is always namespace → variable.
 
 from __future__ import annotations
 
-import threading
-
 from ..errors import NoSuchFileError, NotMappedError
 from ..kernel.dax import MapFlags
 from ..kernel.vfs import OpenFlags
@@ -60,21 +58,18 @@ class HierarchicalLayout(Layout):
                 env.vfs.mkdir(ctx, path, parents=True)
             # all ranks must share ONE lock registry (namespace lock +
             # per-variable locks) for metadata; publish it on the board
-            with ctx.board.lock:
-                key = ("pmemcpy-fs-lock", path)
-                if key not in ctx.board.data:
-                    # the legacy one-exclusive-lock configuration keeps the
-                    # original timing treatment (no replay-level mutual
-                    # exclusion); see repro.pmdk.locks
-                    replay = self._striped or self.meta_rw
-                    ctx.board.data[key] = {
-                        "mu": threading.Lock(),
-                        "ns": VolatileRWLock(f"meta:{path}", replay=replay),
-                        "vars": {},
-                    }
+            key = ("pmemcpy-fs-lock", path)
+            if ctx.board.get(key) is None:
+                # the legacy one-exclusive-lock configuration keeps the
+                # original timing treatment (no replay-level mutual
+                # exclusion); see repro.pmdk.locks
+                replay = self._striped or self.meta_rw
+                ctx.board.put(key, {
+                    "ns": VolatileRWLock(f"meta:{path}", replay=replay),
+                    "vars": {},
+                })
         comm.barrier()
-        with ctx.board.lock:
-            self._shared = ctx.board.data[("pmemcpy-fs-lock", path)]
+        self._shared = ctx.board.get(("pmemcpy-fs-lock", path))
         self.root = path
         comm.barrier()
 
@@ -133,13 +128,11 @@ class HierarchicalLayout(Layout):
         return self.meta_stripes > 1
 
     def _var_lock(self, var_id: str) -> VolatileRWLock:
-        shared = self._shared
-        with shared["mu"]:
-            lock = shared["vars"].get(var_id)
-            if lock is None:
-                lock = VolatileRWLock(f"meta:{self.root}/{var_id}")
-                shared["vars"][var_id] = lock
-            return lock
+        locks = self._shared["vars"]
+        lock = locks.get(var_id)
+        if lock is None:
+            lock = locks[var_id] = VolatileRWLock(f"meta:{self.root}/{var_id}")
+        return lock
 
     def _guard(self, ctx, var_id: str, *, write: bool) -> MetaGuard:
         self._require()

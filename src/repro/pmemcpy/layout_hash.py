@@ -104,15 +104,13 @@ class HashtableLayout(Layout):
                 ctx, pool, stripes_off, nstripes, name=f"meta:{path}",
                 replay=self._replay_locks(nstripes),
             )
-            with ctx.board.lock:
-                ctx.board.data[("pmemcpy", path)] = (pool, self.map, self.table)
+            ctx.board.put(("pmemcpy", path), (pool, self.map, self.table))
             comm.barrier()
         else:
             comm.barrier()
             fd = env.vfs.open(ctx, path, OpenFlags.RDWR)
             mapping = env.vfs.mmap(ctx, fd, flags)
-            with ctx.board.lock:
-                self.pool, self.map, self.table = ctx.board.data[("pmemcpy", path)]
+            self.pool, self.map, self.table = ctx.board.get(("pmemcpy", path))
             self.pool.attach(ctx, mapping)
         self._mapping = mapping
         comm.barrier()

@@ -2,9 +2,12 @@
 
 ``run_spmd(nprocs, fn)`` executes ``fn(ctx)`` on every rank against real
 (scaled-down) buffers.  :class:`ThreadEngine` runs each rank as one OS
-thread: GIL-serialized, deterministic, crash-sim capable.  The ranks'
-host-side concurrency is not the model's — the timing pass charges what
-the recorded traces say, however the threads interleaved.
+thread, but the ranks take turns: one :class:`Schedule` baton per run, and
+only the rank holding it runs.  A rank gives the baton up only where it
+blocks (:func:`wait_until`), to the next runnable rank in rank order, so a
+run's interleaving — and with it every trace — is a function of the
+program alone.  The ranks' host-side concurrency is not the model's — the
+timing pass charges what the recorded traces say.
 
 The :class:`Context` is the single funnel through which every substrate
 records costs:
@@ -18,12 +21,10 @@ records costs:
 - ``ctx.board`` is a shared rendezvous board the MPI layer builds
   collectives on.
 
-Determinism: each rank appends only to its own trace, and trace contents
-depend only on the rank's logical execution, so the timing pass is
-reproducible — up to one caveat: where ranks contend on shared *functional*
-state (e.g. hashtable chains whose order reflects insertion interleaving),
-metadata-traversal costs can jitter by microseconds between runs.  Data-path
-costs, which dominate every reported figure, are exactly reproducible.
+Determinism: each rank appends only to its own trace, and the schedule
+fixes which rank reaches shared functional state first (a shared page's
+fault, a hashtable chain's insertion order), so two runs of one program
+record ``==`` traces and the timing pass reproduces exactly.
 """
 
 from __future__ import annotations
@@ -37,113 +38,172 @@ from typing import Any, Callable
 import numpy as np
 
 from ..config import DEFAULT_MACHINE, MachineSpec
-from ..errors import CollectiveAbortedError, RankFailedError
+from ..errors import CollectiveAbortedError, DeadlockError, RankFailedError
 from .fluid import FluidResult, FluidSimulator
 from .resources import ResourceSet, build_standard_resources
 from .trace import Acquire, Barrier, Delay, RankTrace, Release, Rows, Transfer
 
 
+#: the running thread's schedule (set while a rank thread runs)
+_current = threading.local()
+
+
+def wait_until(ready: Callable[[], bool], what: str) -> None:
+    """The one wait every rank-visible block goes through.
+
+    Returns at once when ``ready()`` holds.  Otherwise the calling rank
+    hands its run's baton on and resumes once ``ready()`` holds and the
+    baton is back.  Raises :class:`~repro.errors.DeadlockError` when no
+    rank can run, and at once outside a run, where nothing else could
+    make ``ready()`` hold.
+    """
+    if ready():
+        return
+    schedule = getattr(_current, "schedule", None)
+    if schedule is None:
+        raise DeadlockError({0: f"{what}, outside any SPMD run"})
+    schedule.block(ready, what)
+
+
+class Schedule:
+    """One run's baton.  Only its holder runs; it passes the baton only
+    where it blocks, to the first runnable rank after it in rank order.
+
+    A rank is runnable when it has not finished and is not waiting, or its
+    wait's condition holds.  Conditions are evaluated by the holder, so
+    they read shared state no other rank is changing.  When no rank is
+    runnable the run is deadlocked: every wait raises
+    :class:`~repro.errors.DeadlockError`, and the ranks unwind one at a
+    time in the same rank order.
+    """
+
+    def __init__(self, nprocs: int):
+        self._gates = [threading.Lock() for _ in range(nprocs)]
+        for gate in self._gates[1:]:
+            gate.acquire()
+        #: per rank: the (ready, what) of the wait it is blocked in, or None
+        self._waits: list = [None] * nprocs
+        self._done = [False] * nprocs
+        self._holder = 0
+        self._deadlock: dict[int, str] | None = None
+
+    def enter(self, rank: int) -> None:
+        """Wait for rank ``rank``'s first turn (rank 0 starts with it)."""
+        _current.schedule = self
+        self._gates[rank].acquire()
+
+    def block(self, ready: Callable[[], bool], what: str) -> None:
+        me = self._holder
+        if self._deadlock is None:
+            self._waits[me] = (ready, what)
+            self._pass(me)
+            self._gates[me].acquire()
+            self._waits[me] = None
+        if self._deadlock is not None:
+            raise DeadlockError(self._deadlock)
+
+    def finish(self, rank: int) -> None:
+        """Rank ``rank`` returned or raised: hand the baton on for good."""
+        self._done[rank] = True
+        self._waits[rank] = None
+        self._pass(rank)
+
+    def _runnable(self, rank: int) -> bool:
+        if self._done[rank]:
+            return False
+        wait = self._waits[rank]
+        return wait is None or self._deadlock is not None or wait[0]()
+
+    def _pass(self, me: int) -> None:
+        n = len(self._gates)
+        for step in range(1, n + 1):
+            rank = (me + step) % n
+            if self._runnable(rank):
+                self._holder = rank
+                self._gates[rank].release()
+                return
+        blocked = {r: w[1] for r, w in enumerate(self._waits) if w}
+        if blocked:
+            self._deadlock = blocked
+            self._pass(me)
+
+
 class SharedBoard:
-    """A lock-protected blackboard shared by all ranks of a run.
+    """A blackboard shared by all ranks of a run.
 
     The MPI layer uses it to exchange object references for collectives; the
     engine uses it for functional barriers.  Keys are arbitrary hashables.
+    Ranks touch it only while holding the run's baton, so it needs no lock;
+    its waits go through :func:`wait_until`.
     """
 
     def __init__(self):
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
         self.data: dict[Any, Any] = {}
-        self._barriers: dict[tuple, threading.Barrier] = {}
         self._aborted = False
 
-    def functional_barrier(self, participants: tuple[int, ...]) -> threading.Barrier:
-        key = ("barrier", participants)
-        with self.lock:
-            b = self._barriers.get(key)
-            if b is None:
-                b = threading.Barrier(len(participants))
-                if self._aborted:
-                    # a rank already failed; poison new barriers too so
-                    # latecomers can't block forever
-                    b.abort()
-                self._barriers[key] = b
-            return b
+    def abort(self) -> None:
+        """A rank failed: every wait on the board gives up."""
+        self._aborted = True
 
-    @property
-    def aborted(self) -> bool:
-        return self._aborted
-
-    def abort_all_barriers(self) -> None:
-        with self.lock:
-            self._aborted = True
-            for b in self._barriers.values():
-                b.abort()
-            self.cond.notify_all()
+    def functional_barrier(self, participants: tuple[int, ...], seq: int,
+                           rank: int) -> None:
+        """Rendezvous ``participants`` for their ``seq``-th barrier."""
+        self.exchange(("barrier", participants, seq), rank,
+                      len(participants), None)
 
     # -- collective exchange (thread ranks share references) -------------------
 
     def exchange(self, key, rank: int, nparties: int, value) -> dict:
         """Deposit ``value`` as ``rank``; block until all ``nparties``
         deposited; return {rank: value}.  The last reader cleans up."""
-        with self.cond:
-            slot = self.data.setdefault(key, {"vals": {}, "taken": 0})
-            slot["vals"][rank] = value
-            if len(slot["vals"]) == nparties:
-                self.cond.notify_all()
-            else:
-                self.cond.wait_for(
-                    lambda: len(slot["vals"]) == nparties or self._aborted
-                )
-                if len(slot["vals"]) != nparties:
-                    raise CollectiveAbortedError(
-                        f"collective {key!r} aborted: a peer rank failed"
-                    )
-            vals = slot["vals"]
-            slot["taken"] += 1
-            if slot["taken"] == nparties:
-                del self.data[key]
-            return vals
+        slot = self.data.setdefault(key, {"vals": {}, "taken": 0})
+        vals = slot["vals"]
+        vals[rank] = value
+        wait_until(lambda: len(vals) == nparties or self._aborted,
+                   f"collective {key!r}")
+        if len(vals) != nparties:
+            raise CollectiveAbortedError(
+                f"collective {key!r} aborted: a peer rank failed"
+            )
+        slot["taken"] += 1
+        if slot["taken"] == nparties:
+            del self.data[key]
+        return vals
 
     # -- point-to-point --------------------------------------------------------
 
     def p2p_put(self, key, value) -> None:
-        with self.cond:
-            self.data.setdefault(("q", key), []).append(value)
-            self.cond.notify_all()
+        self.data.setdefault(("q", key), []).append(value)
 
     def p2p_take(self, key):
         qkey = ("q", key)
-        with self.cond:
-            self.cond.wait_for(lambda: self.data.get(qkey) or self._aborted)
-            if not self.data.get(qkey):
-                raise CollectiveAbortedError("recv aborted: peer rank failed")
-            q = self.data[qkey]
-            value = q.pop(0)
-            if not q:
-                del self.data[qkey]
+        wait_until(lambda: self.data.get(qkey) or self._aborted,
+                   f"recv {key!r}")
+        if not self.data.get(qkey):
+            raise CollectiveAbortedError("recv aborted: peer rank failed")
+        q = self.data[qkey]
+        value = q.pop(0)
+        if not q:
+            del self.data[qkey]
         return value
 
     # -- plain KV --------------------------------------------------------------
 
     def put(self, key, value) -> None:
-        with self.cond:
-            self.data[("kv", key)] = value
-            self.cond.notify_all()
+        self.data[("kv", key)] = value
 
     def get(self, key, default=None):
-        with self.cond:
-            return self.data.get(("kv", key), default)
+        return self.data.get(("kv", key), default)
 
     def wait_get(self, key):
         kv = ("kv", key)
-        with self.cond:
-            self.cond.wait_for(lambda: kv in self.data or self._aborted)
-            if kv not in self.data:
-                raise CollectiveAbortedError(
-                    f"wait for {key!r} aborted: a peer rank failed"
-                )
-            return self.data[kv]
+        wait_until(lambda: kv in self.data or self._aborted,
+                   f"board key {key!r}")
+        if kv not in self.data:
+            raise CollectiveAbortedError(
+                f"wait for {key!r} aborted: a peer rank failed"
+            )
+        return self.data[kv]
 
 
 class Context:
@@ -339,7 +399,7 @@ class Context:
                 phase=self.current_phase,
             )
         )
-        self.board.functional_barrier(participants).wait()
+        self.board.functional_barrier(participants, seq, self.rank)
 
 
 @dataclass
@@ -389,7 +449,7 @@ class SpmdResult:
 
 #: exception classes that are *secondary casualties* of another rank's
 #: failure — never the root cause a RankFailedError should surface
-_CASUALTY_TYPES = (threading.BrokenBarrierError, CollectiveAbortedError)
+_CASUALTY_TYPES = (CollectiveAbortedError, DeadlockError)
 
 
 def select_root_failure(
@@ -398,11 +458,13 @@ def select_root_failure(
     """Pick the failure to surface from a multi-rank pile-up.
 
     When one rank fails, every peer blocked on a barrier or collective
-    unwinds with a casualty exception (``BrokenBarrierError`` or
-    :class:`~repro.errors.CollectiveAbortedError`) — regardless of rank
-    order, the surfaced exception must be the lowest-ranked *non-casualty*.
-    Only if every failure is a casualty (which indicates an engine bug) does
-    the lowest-ranked one surface.
+    unwinds with a casualty exception
+    (:class:`~repro.errors.CollectiveAbortedError`, or
+    :class:`~repro.errors.DeadlockError` when it waited on something the
+    failed rank never gave) — regardless of rank order, the surfaced
+    exception must be the lowest-ranked *non-casualty*.  Only if every
+    failure is a casualty (a deadlock, or an engine bug) does the
+    lowest-ranked one surface.
     """
     ordered = sorted(failures, key=lambda f: f[0])
     for rank, exc in ordered:
@@ -412,27 +474,30 @@ def select_root_failure(
 
 
 class ThreadEngine:
-    """One OS thread per rank — deterministic, crash-sim capable."""
+    """One OS thread per rank, taking turns under one :class:`Schedule` —
+    deterministic, crash-sim capable."""
 
     def run(self, nprocs, fn, *, machine, scale, thread_name, env) -> SpmdResult:
         """Execute ``fn`` on every rank; return traces and values."""
+        schedule = Schedule(nprocs)
         board = SharedBoard()
         traces = [RankTrace(rank=r) for r in range(nprocs)]
         returns: list[Any] = [None] * nprocs
         failures: list[tuple[int, BaseException]] = []
-        flock = threading.Lock()
 
         def runner(r: int) -> None:
-            ctx = Context(
-                r, nprocs, machine=machine, scale=scale, board=board,
-                trace=traces[r], env=env,
-            )
+            schedule.enter(r)
             try:
+                ctx = Context(
+                    r, nprocs, machine=machine, scale=scale, board=board,
+                    trace=traces[r], env=env,
+                )
                 returns[r] = fn(ctx)
             except BaseException as exc:  # noqa: BLE001 - must unblock peers
-                with flock:
-                    failures.append((r, exc))
-                board.abort_all_barriers()
+                failures.append((r, exc))
+                board.abort()
+            finally:
+                schedule.finish(r)
 
         threads = [
             threading.Thread(target=runner, args=(r,), name=f"{thread_name}-{r}")
@@ -445,6 +510,8 @@ class ThreadEngine:
 
         if failures:
             rank, exc = select_root_failure(failures)
+            if isinstance(exc, DeadlockError):
+                raise exc
             raise RankFailedError(rank, exc) from exc
 
         return SpmdResult(
@@ -464,8 +531,10 @@ def run_spmd(
 ) -> SpmdResult:
     """Run ``fn`` on ``nprocs`` ranks; gather traces and return values.
 
-    Any rank exception aborts all functional barriers (so peers unblock) and
-    re-raises as :class:`RankFailedError` carrying the root-cause original.
+    Any rank exception aborts every board wait (so peers unblock) and
+    re-raises as :class:`RankFailedError` carrying the root-cause original;
+    a run in which no rank can go on raises
+    :class:`~repro.errors.DeadlockError` naming the blocked ranks.
     """
     if nprocs < 1:
         raise ValueError("nprocs must be >= 1")

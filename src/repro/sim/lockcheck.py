@@ -7,9 +7,9 @@ rank's :attr:`~repro.sim.trace.RankTrace.lock_events` log.  After a run,
 
 - **lock-order cycles** — a cycle in the union (over all ranks) of the
   held-before graph: rank A takes ``L1`` then ``L2`` while rank B takes
-  ``L2`` then ``L1``.  Such runs may complete by luck in the functional
-  pass, but the interleaving that deadlocks exists, so the checker fails
-  them statically.
+  ``L2`` then ``L1``.  Such runs may complete in the functional pass
+  (its one schedule need not hit the cycle), but the interleaving that
+  deadlocks exists, so the checker fails them statically.
 - **unguarded metadata writes** — a ``record_guarded_write(scope)``
   declaration with no exclusive hold of ``scope`` at that point: a
   lost-update race.

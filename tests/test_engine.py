@@ -1,12 +1,10 @@
 """Tests for the SPMD functional-pass engine."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.config import DEFAULT_MACHINE
-from repro.errors import RankFailedError
+from repro.errors import CollectiveAbortedError, DeadlockError, RankFailedError
 from repro.sim import run_spmd
 from repro.sim.engine import select_root_failure
 from repro.sim.resources import Resource, ResourceSet
@@ -43,14 +41,102 @@ class TestRunSpmd:
         assert res.returns == [1]
 
 
+class TestSchedule:
+    """Ranks take turns: one baton, handed on in rank order where a rank
+    blocks, so a run's interleaving is a function of the program."""
+
+    def test_ranks_start_in_rank_order_and_hand_on_at_blocks(self):
+        order = []
+
+        def fn(ctx):
+            order.append(("a", ctx.rank))
+            ctx.barrier()
+            order.append(("b", ctx.rank))
+
+        run_spmd(3, fn)
+        # the last rank into the barrier goes on; the others follow it
+        # round-robin from the rank that blocked last
+        assert order == [("a", 0), ("a", 1), ("a", 2),
+                         ("b", 2), ("b", 0), ("b", 1)]
+
+    def test_lock_order_cycle_raises_naming_the_blocked_ranks(self):
+        from repro.mem.device import PMEMDevice
+        from repro.pmdk import PmemMutex, PmemPool, RawRegion
+        from repro.units import MiB
+
+        size = 2 * MiB
+        region = RawRegion(PMEMDevice(size), 0, size)
+
+        def fn(ctx):
+            if ctx.rank == 0:
+                pool = PmemPool.create(ctx, region, size=size, nlanes=4)
+                ctx.board.put("mutexes", (PmemMutex.alloc(ctx, pool),
+                                          PmemMutex.alloc(ctx, pool)))
+            ctx.barrier()
+            first, second = ctx.board.get("mutexes")
+            if ctx.rank == 1:
+                first, second = second, first
+            with first.guard(ctx):
+                ctx.barrier()
+                with second.guard(ctx):
+                    pass
+
+        with pytest.raises(DeadlockError) as ei:
+            run_spmd(2, fn)
+        assert sorted(ei.value.blocked) == [0, 1]
+        assert all("mutex" in what for what in ei.value.blocked.values())
+        assert "rank 0 waits for mutex" in str(ei.value)
+
+    def test_a_wait_no_rank_can_satisfy_raises(self):
+        def fn(ctx):
+            if ctx.rank == 0:
+                ctx.board.wait_get("never")
+
+        with pytest.raises(DeadlockError) as ei:
+            run_spmd(3, fn)
+        assert ei.value.blocked == {0: "board key 'never'"}
+
+    def test_paper_cells_record_equal_traces_twice(self):
+        """Two runs of four Fig. 6/7 libraries at 8p, write and read,
+        record ``==`` traces, makespans and critical paths."""
+        from repro.harness.experiment import (
+            PAPER_LIBRARIES,
+            _cluster_for,
+            _job_result,
+        )
+        from repro.telemetry.critpath import critpath_dumps
+        from repro.workloads import Domain3D, read_job, write_job
+
+        workload = Domain3D(nvars=2, model_dims=(160,) * 3, axis_scale=10)
+
+        def cell(library):
+            driver, kw = PAPER_LIBRARIES[library]
+            cl = _cluster_for(workload, DEFAULT_MACHINE)
+            out = []
+            for direction, job in (("write", write_job), ("read", read_job)):
+                res = cl.run(8, lambda ctx: job(ctx, workload, driver,
+                                                "/pmem/eval", kw))
+                result = _job_result(library, 8, direction, res, cl)
+                out.append(([t.entries for t in res.traces], result.seconds,
+                            critpath_dumps(result.critpath)))
+            return out
+
+        for library in ("PMCPY-A", "PMCPY-B", "ADIOS", "NetCDF"):
+            first, second = cell(library), cell(library)
+            for (ea, sa, ca), (eb, sb, cb) in zip(first, second):
+                assert ea == eb, library
+                assert sa == sb, library
+                assert ca == cb, library
+
+
 class TestRootCauseSelection:
     """Barrier-casualty unwinding surfaces the real failure."""
 
     def test_casualties_skipped(self):
         failures = [
-            (0, threading.BrokenBarrierError("peer died")),
+            (0, CollectiveAbortedError("peer died")),
             (2, ValueError("root cause")),
-            (1, threading.BrokenBarrierError("peer died")),
+            (1, CollectiveAbortedError("peer died")),
         ]
         rank, exc = select_root_failure(failures)
         assert rank == 2
@@ -58,8 +144,8 @@ class TestRootCauseSelection:
 
     def test_all_casualties_lowest_rank_wins(self):
         failures = [
-            (3, threading.BrokenBarrierError("a")),
-            (1, threading.BrokenBarrierError("b")),
+            (3, CollectiveAbortedError("a")),
+            (1, CollectiveAbortedError("b")),
         ]
         rank, exc = select_root_failure(failures)
         assert rank == 1
@@ -216,11 +302,9 @@ class TestContext:
         # Rank 0 publishes before the barrier; others must observe it after.
         def fn(ctx):
             if ctx.rank == 0:
-                with ctx.board.lock:
-                    ctx.board.data["x"] = 42
+                ctx.board.put("x", 42)
             ctx.barrier()
-            with ctx.board.lock:
-                return ctx.board.data["x"]
+            return ctx.board.get("x")
 
         res = run_spmd(8, fn)
         assert res.returns == [42] * 8

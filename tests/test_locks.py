@@ -137,11 +137,9 @@ class TestRWLock:
         def fn(ctx):
             if ctx.rank == 0:
                 lk = PmemRWLock.alloc(ctx, pool)
-                with ctx.board.lock:
-                    ctx.board.data["rw"] = lk
+                ctx.board.put("rw", lk)
             ctx.barrier()
-            with ctx.board.lock:
-                lk = ctx.board.data["rw"]
+            lk = ctx.board.get("rw")
             ctx.barrier()
             lk.acquire_read(ctx)
             with mu:
@@ -162,11 +160,9 @@ class TestRWLock:
         def fn(ctx):
             if ctx.rank == 0:
                 lk = PmemRWLock.alloc(ctx, pool)
-                with ctx.board.lock:
-                    ctx.board.data["rw"] = lk
+                ctx.board.put("rw", lk)
             ctx.barrier()
-            with ctx.board.lock:
-                lk = ctx.board.data["rw"]
+            lk = ctx.board.get("rw")
             for _ in range(25):
                 with lk.write_guard(ctx):
                     v = counter["v"]

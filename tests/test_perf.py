@@ -1,10 +1,10 @@
 """The performance-regression observatory (``repro.perf``).
 
-Covers registry integrity, exact modeled-ns reproducibility of the
-deterministic scenarios, regression detection on a synthetic slowdown,
-critical-path attribution of that slowdown, the unified bench schema,
-and the baseline round-trip.  Real-measurement tests stick to
-the cheap single-rank scenarios so the suite stays tier-1 sized; the
+Covers registry integrity, exact modeled-ns reproducibility of
+single-rank and multi-rank scenarios, regression detection on a synthetic
+slowdown, critical-path attribution of that slowdown, the unified bench
+schema, and the baseline round-trip.  Real-measurement tests stick to
+the cheap micro scenarios so the suite stays tier-1 sized; the
 LOCK_OVERHEAD_NS selftest (which needs the 8-rank meta scenarios) is
 exercised through the same code path the CI job runs.
 """
@@ -83,23 +83,15 @@ def test_select_by_name_and_group():
         select(groups=("nope",))
 
 
-def test_meta_scenarios_declare_wider_tolerance():
-    for name in ("meta.lock_striped", "meta.lock_single"):
-        s = get(name)
-        assert not s.deterministic
-        assert s.modeled_tolerance_frac and \
-            s.modeled_tolerance_frac > MODELED_GATE_FRAC
-
-
 # ---------------------------------------------------------------------------
 # measurement: exact modeled-ns reproducibility
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["pmdk.tx_commit", "mem.memcpy_persist"])
+@pytest.mark.parametrize("name", ["pmdk.tx_commit", "mem.memcpy_persist",
+                                  "meta.lock_striped", "meta.lock_single"])
 def test_deterministic_scenarios_reproduce_exactly(name):
     s = get(name)
-    assert s.deterministic
     a = measure_scenario(s)
     b = measure_scenario(s)
     assert a.modeled_ns == b.modeled_ns
@@ -111,8 +103,7 @@ def test_deterministic_scenarios_reproduce_exactly(name):
 def test_measurement_run_record_round_trips():
     m = measure_scenario(get("pmdk.tx_commit"))
     rec = m.as_run()
-    assert set(rec) == {"scenario", "group", "deterministic", "modeled_ns",
-                        "critpath"}
+    assert set(rec) == {"scenario", "group", "modeled_ns", "critpath"}
     back = Measurement.from_run(json.loads(json.dumps(rec)))
     assert back == m
     # tx scenario's critical path runs through the pmdk transaction spans
@@ -136,18 +127,14 @@ def _critpath(families: dict) -> dict:
 
 
 def _run_record(name="mem.memcpy_persist", modeled=1_000_000.0,
-                families=None, tol=None, group="mem"):
-    rec = {
+                families=None, group="mem"):
+    return {
         "scenario": name,
         "group": group,
-        "deterministic": True,
         "modeled_ns": modeled,
         "critpath": _critpath(families or {"memcpy": modeled * 0.6,
                                            "store.persist": modeled * 0.4}),
     }
-    if tol is not None:
-        rec["modeled_tolerance_frac"] = tol
-    return rec
 
 
 def test_compare_passes_on_identical_runs():
@@ -181,19 +168,21 @@ def test_compare_flags_modeled_regression_with_attribution():
 
 def test_parent_format_records_load_and_gate_identically():
     """Records that still carry the exclusive-time ``families`` and
-    ``latency`` maps load as if those keys were absent, and the gate
-    reaches the same verdicts and culprits."""
+    ``latency`` maps, the ``deterministic`` flag or a declared
+    ``modeled_tolerance_frac`` load as if those keys were absent, and the
+    gate reaches the same verdicts and culprits."""
     def with_legacy(rec):
         return {**rec, "families": {"memcpy": 1.0, "pmdk.tx": 2.0},
-                "latency": {"memcpy": {"p50": 1.0, "p95": 2.0, "p99": 3.0}}}
+                "latency": {"memcpy": {"p50": 1.0, "p95": 2.0, "p99": 3.0}},
+                "deterministic": False, "modeled_tolerance_frac": 0.03}
 
     base = [_run_record(), _run_record(name="meta.lock_single",
-                                       group="meta", tol=0.03)]
+                                       group="meta")]
     cur = [_run_record(modeled=1_060_000.0,
                        families={"memcpy": 600_000.0,
                                  "store.persist": 460_000.0}),
-           _run_record(name="meta.lock_single", group="meta", tol=0.03,
-                       modeled=1_010_000.0)]
+           _run_record(name="meta.lock_single", group="meta",
+                       modeled=1_020_000.0)]
     legacy_base = {"schema": baseline_from_runs(base)["schema"],
                    "scenarios": {r["scenario"]: with_legacy(r)
                                  for r in base}}
@@ -215,14 +204,20 @@ def test_compare_reports_improvement_not_failure():
     assert rep.verdicts[0].status == "improved"
 
 
-def test_scenario_tolerance_widens_the_gate():
-    base = [_run_record(tol=0.03)]
-    wobbly = [_run_record(modeled=1_020_000.0, tol=0.03)]  # +2%
-    rep = compare_runs(baseline_from_runs(base), wobbly)
-    assert rep.ok, "within the declared 3% tolerance"
-    bad = [_run_record(modeled=1_050_000.0, tol=0.03)]     # +5%
-    rep = compare_runs(baseline_from_runs(base), bad)
-    assert not rep.ok
+def test_one_gate_for_every_scenario():
+    """±MODELED_GATE_FRAC is the only gate: the multi-rank meta scenarios
+    get no wider band than a single-rank one."""
+    for name, group in (("mem.memcpy_persist", "mem"),
+                        ("meta.lock_single", "meta")):
+        base = [_run_record(name=name, group=group)]
+        half = 1_000_000.0 * (1 + MODELED_GATE_FRAC / 2)
+        inside = [_run_record(name=name, group=group, modeled=half)]
+        assert compare_runs(baseline_from_runs(base), inside).ok, name
+        wobbly = [_run_record(name=name, group=group,
+                              modeled=1_020_000.0)]  # +2%
+        rep = compare_runs(baseline_from_runs(base), wobbly)
+        assert not rep.ok, name
+        assert rep.verdicts[0].status == "modeled-regression"
 
 
 def test_compare_tracks_new_and_missing_scenarios():
@@ -256,13 +251,13 @@ def test_selftest_inflated_lock_overhead_fails_with_meta_lock_top(capsys):
 
 
 def test_baseline_round_trip(tmp_path):
-    runs = [_run_record(tol=0.03)]
+    runs = [_run_record()]
     doc = baseline_from_runs(runs)
     path = save_baseline(str(tmp_path / "results" / "b.json"), doc)
     back = load_baseline(path)
     entry = back["scenarios"]["mem.memcpy_persist"]
     assert entry["modeled_ns"] == 1_000_000.0
-    assert entry["modeled_tolerance_frac"] == 0.03
+    assert set(entry) == {"group", "modeled_ns", "critpath"}
     with pytest.raises(FileNotFoundError, match="update-baseline"):
         load_baseline(str(tmp_path / "missing.json"))
     with pytest.raises(ValueError, match="not a perf baseline"):
@@ -297,8 +292,7 @@ def test_committed_baseline_matches_registry():
     for name, entry in doc["scenarios"].items():
         assert entry["modeled_ns"] > 0, name
         assert entry["critpath"]["families"], name
-        assert set(entry) <= {"group", "deterministic", "modeled_ns",
-                              "critpath", "modeled_tolerance_frac"}, name
+        assert set(entry) == {"group", "modeled_ns", "critpath"}, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Tests for the PMDK pool, allocator, and transactions."""
 
-import threading
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -501,11 +499,9 @@ class TestPmemMutex:
         def fn(ctx):
             if ctx.rank == 0:
                 mtx = PmemMutex.alloc(ctx, pool)
-                with ctx.board.lock:
-                    ctx.board.data["mtx"] = mtx
+                ctx.board.put("mtx", mtx)
             ctx.barrier()
-            with ctx.board.lock:
-                mtx = ctx.board.data["mtx"]
+            mtx = ctx.board.get("mtx")
             for _ in range(50):
                 with mtx.guard(ctx):
                     v = counter["v"]
@@ -558,14 +554,13 @@ class TestLaneAllocator:
 
     def spmd_offsets(self, order=None):
         """Each rank's offsets from six mallocs.  ``order`` lists the
-        ranks in the order they enter malloc, each waiting for the one
-        before it to finish; None lets them race."""
+        ranks in the order they enter malloc, each waiting on the board
+        for the one before it to finish; None leaves the order to the
+        schedule."""
         size = 2 * MiB
         device = PMEMDevice(size)
         region = RawRegion(device, 0, size)
         holder = {}
-        turns = [threading.Event() for _ in range(self.NPROCS + 1)]
-        turns[0].set()
 
         def fn(ctx):
             if ctx.rank == 0:
@@ -575,11 +570,11 @@ class TestLaneAllocator:
             ctx.barrier()
             pool = holder["pool"]
             turn = None if order is None else order.index(ctx.rank)
-            if turn is not None:
-                turns[turn].wait()
+            if turn:
+                ctx.board.wait_get(("turn", turn))
             offs = [pool.malloc(ctx, 64 + 64 * i) for i in range(6)]
             if turn is not None:
-                turns[turn + 1].set()
+                ctx.board.put(("turn", turn + 1), True)
             ctx.barrier()
             return offs
 
