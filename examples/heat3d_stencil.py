@@ -8,9 +8,8 @@ restarted run converges to exactly the same field as an uninterrupted one).
 The reference run's I/O span tree is exported as
 ``results/heat3d.trace.json`` — load it in https://ui.perfetto.dev (or
 ``chrome://tracing``) to see a checkpoint's store pipeline, one track
-per rank.  The export defaults to ``REPRO_TRACE=sampled`` (1-in-64 root
-spans, full subtrees) so the committed artifact stays small; set
-``REPRO_TRACE=full`` for every span.
+per rank.  Every span is recorded; the whole trace stays well under
+:data:`TRACE_SIZE_BUDGET`.
 
 Run:  python examples/heat3d_stencil.py
 """
@@ -111,16 +110,12 @@ def run_app(ctx, *, crash_after: int | None, start_fresh: bool):
     return total, STEPS
 
 
-#: the committed trace must stay repo-friendly; sampled mode (1-in-64
-#: roots, full subtrees) keeps the shape visible well under this
+#: the committed trace must stay repo-friendly
 TRACE_SIZE_BUDGET = 100 * 1024
 
 
 def main():
     nprocs = 4
-    # sample the span tree unless the caller asked for something else —
-    # a full trace of this app is ~25x larger with no extra insight
-    os.environ.setdefault("REPRO_TRACE", "sampled")
 
     # Reference: uninterrupted run.
     ref_cluster = Cluster(crash_sim=True)
@@ -139,8 +134,7 @@ def main():
     size = os.path.getsize(path)
     if size >= TRACE_SIZE_BUDGET:
         raise SystemExit(
-            f"{path} is {size} bytes (budget {TRACE_SIZE_BUDGET}); "
-            f"run with REPRO_TRACE=sampled before committing it"
+            f"{path} is {size} bytes (budget {TRACE_SIZE_BUDGET})"
         )
     print(f"I/O trace written to {path} ({size} bytes) — "
           f"open it at https://ui.perfetto.dev")

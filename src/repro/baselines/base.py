@@ -61,8 +61,7 @@ class PIODriver(ABC):
         try:
             with span(ctx, "driver.read", var=name, driver=self.name) as s:
                 yield meter
-                if s is not None:
-                    s.attrs = {**(s.attrs or {}), "bytes": meter.nbytes}
+                s.attrs = {**(s.attrs or {}), "bytes": meter.nbytes}
         except BaseException:
             record(ctx, "driver_read_errors")
             raise

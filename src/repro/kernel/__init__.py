@@ -12,13 +12,12 @@ byte*; this layer makes each of them explicit and charged:
   journal commit per faulted page (the PMCPY-B mode of Figs. 6–7).
 """
 
-from .syscall import blocking_syscall, syscall
+from .syscall import syscall
 from .vfs import VFS, OpenFlags
 from .dax import DaxFS, DaxMapping, MapFlags
 
 __all__ = [
     "syscall",
-    "blocking_syscall",
     "VFS",
     "OpenFlags",
     "DaxFS",

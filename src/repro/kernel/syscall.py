@@ -8,12 +8,6 @@ def syscall(ctx, note: str = "") -> None:
     ctx.delay(ctx.machine.kernel.syscall_ns, note=note or "syscall")
 
 
-def blocking_syscall(ctx, note: str = "") -> None:
-    """A kernel entry that blocks and reschedules (adds a context switch)."""
-    k = ctx.machine.kernel
-    ctx.delay(k.syscall_ns + k.context_switch_ns, note=note or "blocking-syscall")
-
-
 def page_fault(ctx, count: int = 1, note: str = "") -> None:
     """``count`` minor page faults (mapping population)."""
     if count > 0:

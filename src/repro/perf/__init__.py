@@ -8,7 +8,7 @@ modeled-clock records, one per scenario:
   per driver × proc count, pmdk micros, metadata-lock contention, the
   memcpy/persist hot path, kv ops, partial reads, service RPCs), each
   yielding its exact modeled ns and critical-path summary;
-- :mod:`.measure` — one ``REPRO_TRACE=full`` run per scenario;
+- :mod:`.measure` — one run per scenario;
 - :mod:`.baseline` — the committed ``results/perf_baseline.json``
   snapshot;
 - :mod:`.compare` — the modeled gate (±1% hard, for every scenario) with

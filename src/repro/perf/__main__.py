@@ -175,8 +175,8 @@ def cmd_selftest(args) -> int:
 
 
 def _analyze_scenario(name: str) -> tuple[dict, dict, object]:
-    """Run one scenario under full tracing with the doctor's capture hook
-    armed; returns ``(critpath_doc, perf_record, spmd_result_or_None)``."""
+    """Run one scenario with the doctor's capture hook armed; returns
+    ``(critpath_doc, perf_record, spmd_result_or_None)``."""
     from ..telemetry.critpath import (
         capture_analysis,
         critical_path_spans,
@@ -184,19 +184,10 @@ def _analyze_scenario(name: str) -> tuple[dict, dict, object]:
         critpath_doc,
         whatif_report,
     )
-    from ..telemetry.spans import TRACE_ENV
 
     sc = get(name)
-    prev_trace = os.environ.get(TRACE_ENV)
-    os.environ[TRACE_ENV] = "full"
-    try:
-        with capture_analysis() as captured:
-            rec = sc.run()
-    finally:
-        if prev_trace is None:
-            os.environ.pop(TRACE_ENV, None)
-        else:
-            os.environ[TRACE_ENV] = prev_trace
+    with capture_analysis() as captured:
+        rec = sc.run()
     spmd = [p for kind, p in captured if kind == "spmd"]
     service = [p for kind, p in captured if kind == "service"]
     if spmd:

@@ -1,18 +1,15 @@
 """Scenario measurement on the modeled clock.
 
-Each scenario runs once with ``REPRO_TRACE`` forced to ``full`` so the
-span families are always recorded.  Everything it reports — the exact
-modeled makespan and the critical-path summary — comes from the
-simulator clock, so one run is the measurement.  Host wall time is not
+Each scenario runs once, every span recorded.  Everything it reports —
+the exact modeled makespan and the critical-path summary — comes from
+the simulator clock, so one run is the measurement.  Host wall time is not
 measured here: ``bench/`` owns that clock (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from ..telemetry.spans import TRACE_ENV
 from .scenarios import Scenario
 
 
@@ -50,16 +47,8 @@ class Measurement:
 
 
 def measure_scenario(scenario: Scenario) -> Measurement:
-    """Run one scenario once under full tracing."""
-    prev_trace = os.environ.get(TRACE_ENV)
-    os.environ[TRACE_ENV] = "full"
-    try:
-        record = scenario.run()
-    finally:
-        if prev_trace is None:
-            os.environ.pop(TRACE_ENV, None)
-        else:
-            os.environ[TRACE_ENV] = prev_trace
+    """Run one scenario once."""
+    record = scenario.run()
     return Measurement(
         scenario=scenario.name,
         group=scenario.group,

@@ -277,25 +277,17 @@ class PMEM:
         array = np.asarray(data)
         record(ctx, "pmemcpy_store_ops")
         record(ctx, "pmemcpy_logical_store_bytes", int(array.nbytes))
-        t0 = ctx.lb_ns
-        try:
-            with span(ctx, "pmemcpy.store",
-                      var=var_id, bytes=int(array.nbytes)):
-                if selection is not None:
-                    if offsets is not None:
-                        raise DimensionMismatchError(
-                            "store: pass either offsets or a selection, "
-                            "not both"
-                        )
-                    self._store_selection(ctx, var_id, array, selection)
-                elif offsets is None:
-                    self._store_whole(ctx, var_id, array)
-                else:
-                    self._store_sub(ctx, var_id, array, as_dims(offsets))
-        finally:
-            # always-on op latency (survives REPRO_TRACE=off)
-            metrics_for(ctx).histogram(
-                "pmemcpy.store.ns").observe(ctx.lb_ns - t0)
+        with span(ctx, "pmemcpy.store", var=var_id, bytes=int(array.nbytes)):
+            if selection is not None:
+                if offsets is not None:
+                    raise DimensionMismatchError(
+                        "store: pass either offsets or a selection, not both"
+                    )
+                self._store_selection(ctx, var_id, array, selection)
+            elif offsets is None:
+                self._store_whole(ctx, var_id, array)
+            else:
+                self._store_sub(ctx, var_id, array, as_dims(offsets))
 
     def _store_selection(self, ctx, var_id: str, array, sel: Selection) -> None:
         """Strided stores decompose into the selection's maximal contiguous
@@ -497,15 +489,9 @@ class PMEM:
         """
         self._require()
         ctx = self._ctx
-        t0 = ctx.lb_ns
-        try:
-            with span(ctx, "pmemcpy.load", var=var_id) as root:
-                return self._load(ctx, var_id, offsets, dims, out, selection,
-                                  require_full=require_full, root_span=root)
-        finally:
-            # always-on op latency (survives REPRO_TRACE=off)
-            metrics_for(ctx).histogram(
-                "pmemcpy.load.ns").observe(ctx.lb_ns - t0)
+        with span(ctx, "pmemcpy.load", var=var_id) as root:
+            return self._load(ctx, var_id, offsets, dims, out, selection,
+                              require_full=require_full, root_span=root)
 
     def _load(self, ctx, var_id, offsets, dims, out, selection, *,
               require_full, root_span):
@@ -556,8 +542,7 @@ class PMEM:
 
         loaded = covered * np.dtype(meta.dtype).itemsize
         record(ctx, "pmemcpy_logical_load_bytes", loaded)
-        if root_span is not None:
-            root_span.attrs = {**(root_span.attrs or {}), "bytes": loaded}
+        root_span.attrs = {**(root_span.attrs or {}), "bytes": loaded}
         if require_full and covered < sel.nelems:
             raise DimensionMismatchError(
                 f"load({var_id!r}): requested selection only partially "
@@ -601,8 +586,7 @@ class PMEM:
             serializer._charge_unpack_cpu(ctx, payload_read)
             stored_read = hdr.payload_off + payload_read
             record(ctx, "pmemcpy_stored_read_bytes", stored_read)
-            if s is not None:
-                s.attrs = {**(s.attrs or {}), "bytes": stored_read}
+            s.attrs = {**(s.attrs or {}), "bytes": stored_read}
         return copied
 
     def _load_chunk_cached(self, ctx, meta, serializer, pipeline, chunk,

@@ -179,11 +179,10 @@ class ServiceCore:
 
     def _tag(self, env: Envelope, sp) -> None:
         """Stamp a pipeline-stage span with the owning request's identity
-        and collect it into the envelope (no-op when sampled out)."""
-        if sp is not None:
-            sp.attrs = {**(sp.attrs or {}), "trace": env.trace_id,
-                        "seq": env.req.seq}
-            env.spans.append(sp)
+        and collect it into the envelope."""
+        sp.attrs = {**(sp.attrs or {}), "trace": env.trace_id,
+                    "seq": env.req.seq}
+        env.spans.append(sp)
 
     @property
     def clock_ns(self) -> float:
@@ -275,25 +274,24 @@ class ServiceCore:
             with span(self.ctx, "service.engine", shard=shard,
                       batch=len(batch)) as eng:
                 self.ctx.advance(result.engine_ns)
-            if eng is not None:
-                # the engine stage is batch-shared: every request in the
-                # batch sees it in its flight record (deduped on export)
-                for env in envelopes:
-                    env.spans.append(eng)
+            # the engine stage is batch-shared: every request in the batch
+            # sees it in its flight record (deduped on export)
+            for env in envelopes:
+                env.spans.append(eng)
             if result.coalesced:
                 self._count("service.store.coalesced", result.coalesced)
             metrics_for(self.ctx).histogram("service.batch.requests").observe(
                 float(len(batch)))
             if self.cfg.collect_engine_spans:
-                self._absorb_engine_spans(result.spans, envelopes, eng)
+                self._absorb_engine_spans(result.traces, envelopes, eng)
             return [
                 self._encode_response(env, out)
                 for env, out in zip(envelopes, result.outcomes)
             ]
 
-    def _absorb_engine_spans(self, spans, envelopes, stage) -> None:
-        """Rebase the batch's engine spans onto the service clock and
-        attribute each one to its owning request.
+    def _absorb_engine_spans(self, traces, envelopes, stage) -> None:
+        """Rebase the spans of the batch's engine traces onto the service
+        clock and attribute each one to its owning request.
 
         The shard wraps every request it executes in a
         ``service.shard.request`` marker span carrying the request's
@@ -304,6 +302,7 @@ class ServiceCore:
         engine-run roots are reparented under the batch's
         ``service.engine`` stage span so the service trace stays one
         connected tree instead of interleaving anonymous batch spans."""
+        spans = [s for t in traces for s in t.spans]
         if not spans:
             return
         base = self.ctx.lb_ns
@@ -329,11 +328,10 @@ class ServiceCore:
             return own
 
         env_by_trace = {e.trace_id: e for e in envelopes}
-        stage_id = stage.span_id if stage is not None else None
         for s in spans:
             own = owner(s)
             if s.parent_id not in by_id:
-                s.parent_id = stage_id
+                s.parent_id = stage.span_id
             if own is not None:
                 trace_id, seq = own
                 if s.name != "service.shard.request":

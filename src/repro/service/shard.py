@@ -119,8 +119,9 @@ class BatchResult:
     #: requests whose payload never hit PMEM because a later whole-variable
     #: store in the same batch superseded them
     coalesced: int = 0
-    #: engine spans of the run (present when span collection is on)
-    spans: list = field(default_factory=list)
+    #: the engine run's rank traces; their spans are expanded only when
+    #: read (the core reads them only when it collects engine spans)
+    traces: list = field(default_factory=list)
 
 
 class ShardExecutor:
@@ -211,12 +212,11 @@ class ShardExecutor:
         self.metrics.merge(merged_metrics(res.traces))
         self.batches += 1
         self.requests += len(batch)
-        spans = [s for t in res.traces for s in getattr(t, "spans", ())]
         return BatchResult(
             outcomes=outcomes,
             engine_ns=res.time().makespan_ns,
             coalesced=len(superseded),
-            spans=spans,
+            traces=res.traces,
         )
 
     def _apply_one(self, req: Request):

@@ -10,7 +10,7 @@ Two layers, one for counting and one for timing:
    byte/ns totals, so nothing is counted twice.
 2. **Structured spans** (:mod:`.spans`) — causal, timed trees over every
    store/load, exported as Chrome/Perfetto trace JSON or a Darshan-style
-   record table (:mod:`.export`), bounded by the ``REPRO_TRACE`` knob.
+   record table (:mod:`.export`); every span is recorded.
 
 Both live on the rank's :class:`~repro.sim.trace.RankTrace` so they
 survive the SPMD run: aggregate a finished run with
@@ -56,7 +56,6 @@ from .flight import (
     FlightRecord,
     FlightRecorder,
     flight_chrome_trace,
-    flight_darshan,
     validate_flight_dump,
 )
 from .prometheus import (
@@ -65,9 +64,6 @@ from .prometheus import (
     validate_prometheus_text,
 )
 from .spans import (
-    SAMPLE_EVERY,
-    TRACE_ENV,
-    TRACE_MODES,
     Span,
     Tracer,
     as_span_list,
@@ -75,7 +71,6 @@ from .spans import (
     family_of,
     span,
     spans_of,
-    trace_mode,
     tracer_for,
 )
 
@@ -84,7 +79,6 @@ __all__ = [
     "LOG2_BOUNDS", "LANE_BOUNDS", "metrics_for", "merged_metrics",
     "Span", "Tracer", "span", "tracer_for", "spans_of",
     "as_span_list", "exclusive_ns_by_family", "family_of",
-    "trace_mode", "TRACE_ENV", "TRACE_MODES", "SAMPLE_EVERY",
     "CRITPATH_SCHEMA", "CriticalPath", "critical_path_replay",
     "critical_path_spans", "critical_path_spmd", "critpath_doc",
     "critpath_dumps", "critpath_summary", "critpath_culprits",
@@ -92,7 +86,7 @@ __all__ = [
     "capture_analysis", "offer_capture",
     "folded_stacks", "render_folded", "validate_folded", "write_folded",
     "FLIGHT_SCHEMA", "FlightRecord", "FlightRecorder",
-    "flight_chrome_trace", "flight_darshan", "validate_flight_dump",
+    "flight_chrome_trace", "validate_flight_dump",
     "prometheus_text", "sanitize_metric_name", "validate_prometheus_text",
 ]
 

@@ -1,4 +1,4 @@
-"""CLI: render, produce, and budget-check I/O observability artifacts.
+"""CLI: render and produce I/O observability artifacts.
 
 Usage::
 
@@ -8,10 +8,6 @@ Usage::
 
     # fig6-style smoke across all six drivers, writing the artifacts
     python -m repro.telemetry smoke --out results/telemetry
-
-    # full-tracing overhead gate: REPRO_TRACE=off vs full wall-clock
-    python -m repro.telemetry overhead --out BENCH_telemetry.json \
-        --max-overhead 0.10
 
 ``report`` consumes exactly what ``smoke`` (or ``python -m repro.harness
 fig6 --trace-out/--metrics-out``) writes: a Chrome/Perfetto trace JSON per
@@ -24,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 #: the fig6-style smoke matrix — every driver the harness ships, with
 #: pmemcpy in the paper's PMCPY-B (map_sync) configuration
@@ -38,8 +33,6 @@ SMOKE_DRIVERS: dict[str, tuple[str, dict]] = {
 }
 
 SMOKE_NPROCS = 4
-#: timed measurements per mode in ``overhead`` (best is kept)
-OVERHEAD_REPEATS = 5
 
 
 def _smoke_workload():
@@ -183,70 +176,6 @@ def cmd_smoke(args) -> int:
     return 1 if bad else 0
 
 
-# ---------------------------------------------------------------------------
-# overhead
-# ---------------------------------------------------------------------------
-
-def cmd_overhead(args) -> int:
-    import gc
-
-    from .spans import TRACE_ENV
-
-    def sweep(mode: str) -> float:
-        os.environ[TRACE_ENV] = mode
-        t0 = time.perf_counter()
-        for _ in range(args.inner):
-            _run_smoke()
-        return time.perf_counter() - t0
-
-    # one smoke sweep is tens of ms — too short to time a <=10% budget
-    # against scheduler/GC noise.  So: multi-sweep inner loops, modes
-    # alternated so drift hits both equally, GC paused, best-of-repeats.
-    best = {"off": float("inf"), "full": float("inf")}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        _run_smoke()  # warm imports and allocator pools
-        for _ in range(OVERHEAD_REPEATS):
-            for mode in ("off", "full"):
-                best[mode] = min(best[mode], sweep(mode))
-                gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        os.environ.pop(TRACE_ENV, None)
-
-    off_s, full_s = best["off"], best["full"]
-    overhead = full_s / off_s - 1.0
-    # one run record in the unified bench-artifact shape (DESIGN.md §10):
-    # {"schema", "bench", "env", "runs": [...]} — the same top level
-    # ``python -m repro.perf run`` emits, so the bench trajectory can
-    # ingest either artifact.
-    from .bench import bench_doc, write_bench
-
-    run = {
-        "name": "telemetry_overhead",
-        "workload": "fig6 smoke, 6 drivers, 4 ranks",
-        "repeats": OVERHEAD_REPEATS,
-        "inner": args.inner,
-        "trace_off_s": round(off_s, 4),
-        "trace_full_s": round(full_s, 4),
-        "overhead_frac": round(overhead, 4),
-        "budget_frac": args.max_overhead,
-        "within_budget": overhead <= args.max_overhead,
-    }
-    write_bench(args.out, bench_doc("telemetry_overhead", [run]))
-    print(f"trace=off  {off_s:.3f}s   trace=full {full_s:.3f}s   "
-          f"overhead {overhead * 100:+.1f}%  (budget "
-          f"{args.max_overhead * 100:.0f}%)")
-    print(f"[bench] {args.out}")
-    if overhead > args.max_overhead:
-        print("error: full tracing exceeds the overhead budget",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="repro.telemetry", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -265,13 +194,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("smoke", help="fig6 smoke across all six drivers")
     p.add_argument("--out", default="results/telemetry")
     p.set_defaults(fn=cmd_smoke)
-
-    p = sub.add_parser("overhead", help="REPRO_TRACE off-vs-full gate")
-    p.add_argument("--out", default="BENCH_telemetry.json")
-    p.add_argument("--inner", type=int, default=6,
-                   help="smoke sweeps per timed measurement")
-    p.add_argument("--max-overhead", type=float, default=0.10)
-    p.set_defaults(fn=cmd_overhead)
 
     args = ap.parse_args(argv)
     return args.fn(args)

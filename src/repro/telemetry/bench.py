@@ -1,9 +1,8 @@
 """The unified bench-artifact schema (``BENCH_*.json``).
 
-Every benchmark artifact the repo emits — ``BENCH_telemetry.json`` from
-``python -m repro.telemetry overhead`` and ``BENCH_PERF.json`` from
-``python -m repro.perf run`` — shares one top-level shape, so the bench
-trajectory can be populated by any of them without per-emitter parsing::
+The benchmark artifact the repo emits — ``BENCH_PERF.json`` from
+``python -m repro.perf run`` — has one top-level shape, so the bench
+trajectory reads it without per-emitter parsing::
 
     {
       "schema": "repro-bench/1",

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from .spans import as_span_list, child_ns_index
 
-#: frame used when a recorded span's parent was sampled out (or lives in
-#: another dump) — keeps orphans visible instead of silently re-rooting
+#: frame used when a span's parent lives in another dump or flight record
+#: — keeps orphans visible instead of silently re-rooting
 ORPHAN_FRAME = "(orphan)"
 
 

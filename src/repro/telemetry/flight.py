@@ -33,8 +33,7 @@ A dump (:meth:`FlightRecorder.dump`) is a plain JSON document (schema
 ``repro-flight/1``) whose records embed their spans as
 :meth:`~repro.telemetry.spans.Span.as_dict` rows — the exact shape
 :func:`~repro.telemetry.export.spans_from_dicts` inverts, so a dump
-re-renders through the existing ``chrome_trace`` / ``darshan_records``
-export paths (:func:`flight_chrome_trace`, :func:`flight_darshan`).
+re-renders through the Perfetto exporter (:func:`flight_chrome_trace`).
 """
 
 from __future__ import annotations
@@ -273,9 +272,3 @@ def flight_chrome_trace(doc_or_records, *,
     return chrome_trace(_dump_spans(doc_or_records),
                         process_name=process_name)
 
-
-def flight_darshan(doc_or_records) -> list[dict]:
-    """Render a dump (or a record list) through the Darshan record table."""
-    from .export import darshan_records
-
-    return darshan_records(_dump_spans(doc_or_records))

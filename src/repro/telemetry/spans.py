@@ -14,46 +14,20 @@ Span accounting is **exception-safe by construction**: the context manager
 closes the span in ``finally``, tagging it ``error:<ExcType>`` — an
 exception can never leak an unclosed span or charge a success counter.
 
-Overhead is bounded by the ``REPRO_TRACE`` sampling knob:
-
-==========  =============================================================
-``full``    record every span (the default — Darshan-style always-on)
-``sampled`` record 1 in :data:`SAMPLE_EVERY` *root* spans per rank; a
-            suppressed root suppresses its whole subtree, so sampled
-            trees stay complete
-``off``     record nothing (spans become no-ops; typed metric families
-            and legacy counters stay on)
-==========  =============================================================
-
-On close, every recorded span also feeds the ``span.<name>.ns`` latency
-histogram of the rank's metric registry, so latency distributions survive
-even when the full trees are later discarded.
+Every span is recorded (Darshan-style always-on).  On close, each also
+feeds the ``span.<name>.ns`` latency histogram of the rank's metric
+registry, so latency distributions survive even when the full trees are
+later discarded.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-import os
 
 import numpy as np
 
-TRACE_ENV = "REPRO_TRACE"
-TRACE_MODES = ("off", "sampled", "full")
-#: in ``sampled`` mode, record every Nth root span (the first is recorded,
-#: so single-shot operations always yield a complete tree)
-SAMPLE_EVERY = 64
-
-#: sentinel for "this span sits under a suppressed (unsampled) root"
-_SUPPRESSED = object()
-
 _span_ids = itertools.count(1)
-
-
-def trace_mode() -> str:
-    """The session's trace mode (unknown values fall back to ``full``)."""
-    mode = os.environ.get(TRACE_ENV, "full").strip().lower()
-    return mode if mode in TRACE_MODES else "full"
 
 
 class Span:
@@ -135,49 +109,31 @@ class LeafBatch:
 class Tracer:
     """Per-rank span recorder (attached lazily to the rank's trace)."""
 
-    __slots__ = ("trace", "rank", "mode", "stack", "_roots_seen", "_hists")
+    __slots__ = ("trace", "rank", "stack", "_hists")
 
-    def __init__(self, trace, mode: str | None = None):
+    def __init__(self, trace):
         self.trace = trace
         self.rank = trace.rank
-        self.mode = mode if mode in TRACE_MODES else trace_mode()
-        self.stack: list = []
-        self._roots_seen = 0
+        self.stack: list[Span] = []
         #: per-name cache of the ``span.<name>.ns`` histograms — span close
         #: is the hot path, one f-string + registry probe per name total
         self._hists: dict = {}
 
-    def begin(self, ctx, name: str, attrs: dict | None = None):
-        if self.mode == "off":
-            return None
-        if self.stack and self.stack[-1] is _SUPPRESSED:
-            self.stack.append(_SUPPRESSED)
-            return _SUPPRESSED
-        if not self.stack and self.mode == "sampled":
-            take = self._roots_seen % SAMPLE_EVERY == 0
-            self._roots_seen += 1
-            if not take:
-                self.stack.append(_SUPPRESSED)
-                return _SUPPRESSED
+    def begin(self, ctx, name: str, attrs: dict | None = None) -> Span:
         parent = self.stack[-1].span_id if self.stack else None
         s = Span(next(_span_ids), parent, name, self.rank, ctx.lb_ns, attrs)
         self.stack.append(s)
         return s
 
-    def end(self, ctx, span, status: str = "ok") -> None:
-        if span is None:
-            return
+    def end(self, ctx, span: Span, status: str = "ok") -> None:
         top = self.stack.pop()
         if top is not span:  # pragma: no cover - instrumentation bug guard
             raise RuntimeError(
                 f"span stack corrupted: closing {span!r}, top is {top!r}"
             )
-        if span is _SUPPRESSED:
-            return
         span.end_ns = ctx.lb_ns
         span.status = status
         self.trace.span_entries.append(span)
-        # latency distribution survives even without the tree
         h = self._hists.get(span.name) or self._hist(ctx, span.name)
         h.observe(span.end_ns - span.start_ns)
 
@@ -193,23 +149,12 @@ class Tracer:
         """Record ``len(starts)`` childless spans that opened and closed
         one after the other at the given clocks, span ``i`` with attrs
         ``{"bytes": nbytes[i]}`` — what a ``begin``/``end`` pair per span
-        records, sampling rules and span ids included — as one
-        :class:`LeafBatch` entry of the rank's trace."""
-        if self.mode == "off" or not len(starts):
-            return
-        parent = None
-        if self.stack:
-            if self.stack[-1] is _SUPPRESSED:
-                return
-            parent = self.stack[-1].span_id
-        elif self.mode == "sampled":
-            seen = self._roots_seen
-            self._roots_seen += len(starts)
-            keep = np.arange(-seen % SAMPLE_EVERY, len(starts), SAMPLE_EVERY)
-            if not len(keep):
-                return
-            starts, ends, nbytes = starts[keep], ends[keep], nbytes[keep]
+        records, span ids included — as one :class:`LeafBatch` entry of the
+        rank's trace."""
         n = len(starts)
+        if not n:
+            return
+        parent = self.stack[-1].span_id if self.stack else None
         # one C-level pass over the counter: the block of ids is consecutive
         # even while other rank threads mint ids
         last = collections.deque(itertools.islice(_span_ids, n), maxlen=1)[0]
@@ -239,8 +184,7 @@ class span:
 
     Exception-safe: the span always closes; an unwinding exception marks it
     ``error:<ExcType>`` and re-raises.  Attributes may be amended during
-    the block via the yielded span object's ``attrs`` dict (None when the
-    span is sampled out or tracing is off).
+    the block via the yielded span object's ``attrs`` dict.
     """
 
     __slots__ = ("ctx", "name", "attrs", "_tracer", "_span")
@@ -250,10 +194,10 @@ class span:
         self.name = name
         self.attrs = attrs or None
 
-    def __enter__(self):
+    def __enter__(self) -> Span:
         self._tracer = tracer_for(self.ctx)
         self._span = self._tracer.begin(self.ctx, self.name, self.attrs)
-        return None if self._span is _SUPPRESSED else self._span
+        return self._span
 
     def __exit__(self, exc_type, exc, tb):
         status = "ok" if exc_type is None else f"error:{exc_type.__name__}"
@@ -302,8 +246,8 @@ def exclusive_ns_by_family(traces_or_spans) -> dict[str, float]:
     Each span contributes its duration minus its recorded children's, so a
     family's figure is the time spent *in that layer itself* — the quantity
     perf attribution diffs (:mod:`repro.perf.compare`) and the profile
-    report ranks.  Negative self time (possible when a child is recorded
-    but its parent was sampled out) clamps to zero per span.
+    report ranks.  Self time clamps to zero per span, so children that
+    outlast their parent never make a family negative.
     """
     spans = as_span_list(traces_or_spans)
     child = child_ns_index(spans)

@@ -36,7 +36,7 @@ from repro.telemetry.flame import (
     render_folded,
     validate_folded,
 )
-from repro.telemetry.spans import Span
+from repro.telemetry.spans import Span, spans_of
 
 
 def mk_span(sid, parent, name, rank, start, end):
@@ -362,8 +362,7 @@ def test_folded_stacks_nest_and_orphan():
 # ---------------------------------------------------------------------------
 
 
-def test_service_top_shows_critpath_dominant_family(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", "full")
+def test_service_top_shows_critpath_dominant_family():
     from repro.service.console import render_top
     from repro.service.core import ServiceConfig, ServiceCore
 
@@ -387,25 +386,24 @@ def _run_batch(ex, seq0=1):
     return ex.apply(batch)
 
 
-def test_shard_span_ids_disjoint_across_shards_and_batches(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", "full")
+def test_shard_span_ids_disjoint_across_shards_and_batches():
     ex0 = ShardExecutor(0)
     ex1 = ShardExecutor(1)
-    b0 = _run_batch(ex0)
-    b1 = _run_batch(ex1)
-    b0b = _run_batch(ex0, seq0=3)
-    ids0 = {s.span_id for s in b0.spans}
-    ids1 = {s.span_id for s in b1.spans}
-    ids0b = {s.span_id for s in b0b.spans}
-    assert b0.spans and b1.spans and b0b.spans
+    b0 = spans_of(_run_batch(ex0).traces)
+    b1 = spans_of(_run_batch(ex1).traces)
+    b0b = spans_of(_run_batch(ex0, seq0=3).traces)
+    ids0 = {s.span_id for s in b0}
+    ids1 = {s.span_id for s in b1}
+    ids0b = {s.span_id for s in b0b}
+    assert b0 and b1 and b0b
     # different shards and successive batches of one shard never overlap
     assert not ids0 & ids1
     assert not ids0 & ids0b
     # parent/child links survive the remap: every in-batch parent resolves
     for b in (b0, b1, b0b):
-        ids = {s.span_id for s in b.spans}
-        roots = [s for s in b.spans if s.parent_id is None]
+        ids = {s.span_id for s in b}
+        roots = [s for s in b if s.parent_id is None]
         assert roots
-        for s in b.spans:
+        for s in b:
             if s.parent_id is not None:
                 assert s.parent_id in ids

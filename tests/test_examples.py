@@ -4,6 +4,7 @@ These are real subprocess runs of the shipped examples — the strongest
 "does the public API actually work as documented" integration check."""
 
 import os
+import runpy
 import subprocess
 import sys
 
@@ -30,7 +31,10 @@ SLOW_EXAMPLES = [
 ]
 
 
-def run_example(name: str, timeout: int = 240) -> subprocess.CompletedProcess:
+def run_example(name: str, cwd: os.PathLike, timeout: int = 240
+                ) -> subprocess.CompletedProcess:
+    """Run one example script with ``cwd`` as its working directory, so
+    files it writes (``results/...``) land there, not in the checkout."""
     # the examples import `repro` from a source checkout: make sure the
     # subprocess sees src/ regardless of how pytest itself was launched
     env = dict(os.environ)
@@ -42,28 +46,37 @@ def run_example(name: str, timeout: int = 240) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         timeout=timeout,
-        cwd=BASE,
+        cwd=cwd,
         env=env,
     )
 
 
 @pytest.mark.parametrize("name", FAST_EXAMPLES)
-def test_fast_example_runs(name):
-    proc = run_example(name)
+def test_fast_example_runs(name, tmp_path):
+    proc = run_example(name, tmp_path)
     assert proc.returncode == 0, f"{name} failed:\n{proc.stderr[-2000:]}"
 
 
 @pytest.mark.parametrize("name", SLOW_EXAMPLES)
-def test_slow_example_runs(name):
-    proc = run_example(name, timeout=480)
+def test_slow_example_runs(name, tmp_path):
+    proc = run_example(name, tmp_path, timeout=480)
     assert proc.returncode == 0, f"{name} failed:\n{proc.stderr[-2000:]}"
 
 
-def test_quickstart_output_mentions_checksum():
-    proc = run_example("quickstart.py")
+def test_quickstart_output_mentions_checksum(tmp_path):
+    proc = run_example("quickstart.py", tmp_path)
     assert "checksum" in proc.stdout
 
 
-def test_heat3d_restart_matches():
-    proc = run_example("heat3d_stencil.py")
+def test_heat3d_restart_matches(tmp_path):
+    """The example restarts exactly, and the trace it writes is the
+    committed ``examples/results/heat3d.trace.json`` byte for byte, within
+    the example's size budget."""
+    proc = run_example("heat3d_stencil.py", tmp_path)
     assert "restart matches" in proc.stdout
+    trace = "results/heat3d.trace.json"
+    written = (tmp_path / trace).read_bytes()
+    with open(os.path.join(BASE, trace), "rb") as f:
+        assert written == f.read()
+    example = runpy.run_path(os.path.join(BASE, "heat3d_stencil.py"))
+    assert len(written) < example["TRACE_SIZE_BUDGET"]

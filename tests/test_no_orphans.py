@@ -14,7 +14,9 @@ No unused definitions either: every function, method and class under
 ``examples/`` or ``tests/`` somewhere other than at a definition of that
 name.  The match is by word, in code, strings and comments alike, so a
 method reached through ``getattr`` or a name list still counts as used.
-Dunder names are exempt: the language calls them.
+As for modules, a package ``__init__`` re-export (its import lines and
+``__all__``) is no use, and ``@register_driver`` classes are exempt.
+Dunder names are exempt too: the language calls them.
 """
 
 from __future__ import annotations
@@ -99,13 +101,15 @@ class _Index:
         return used
 
 
+def _is_driver(node: ast.AST) -> bool:
+    """A class the ``@register_driver`` decorator registers."""
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(dec, ast.Name) and dec.id == "register_driver"
+        for dec in node.decorator_list)
+
+
 def _registers_driver(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for dec in node.decorator_list:
-                if isinstance(dec, ast.Name) and dec.id == "register_driver":
-                    return True
-    return False
+    return any(map(_is_driver, ast.walk(tree)))
 
 
 def orphans(src_root: Path = SRC, bench_root: Path = BENCH) -> list[str]:
@@ -151,21 +155,46 @@ def test_guard_sees_through_packages_and_ignores_init_imports(tmp_path):
 
 
 def _definitions(node: ast.AST, prefix: str = ""):
-    """``(qualified name, name)`` of every def and class under ``node``."""
+    """``(qualified name, name)`` of every def and class under ``node``,
+    registered driver classes left out."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
-            yield prefix + child.name, child.name
+            if not _is_driver(child):
+                yield prefix + child.name, child.name
             yield from _definitions(child, f"{prefix}{child.name}.")
         else:
             yield from _definitions(child, prefix)
+
+
+def _is_reexport(node: ast.stmt) -> bool:
+    """An ``__init__`` statement that only re-exports: an import or an
+    ``__all__`` assignment."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return True
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _used_text(path: Path) -> str:
+    """``path``'s source, minus the re-export lines when it is a package
+    ``__init__``."""
+    text = path.read_text()
+    if path.name != "__init__.py":
+        return text
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if _is_reexport(node):
+            lines[node.lineno - 1:node.end_lineno] = \
+                [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
 
 
 def unused_definitions(root: Path = ROOT) -> list[str]:
     words: Counter = Counter()
     for tree in ("src", "bench", "examples", "tests"):
         for path in (root / tree).rglob("*.py"):
-            words.update(WORD.findall(path.read_text()))
+            words.update(WORD.findall(_used_text(path)))
     defs = [(f"{name.removeprefix('repro.')}:{qual}", short)
             for name, (_, tree) in _load(root / "src").items()
             if name.startswith("repro")
@@ -194,6 +223,17 @@ def test_definition_guard_counts_uses_not_definitions(tmp_path):
             "    def by_name(self):\n        pass\n"
             "def helper():\n    return Used()\n"
         ),
+        # only its package names it: an import and an __all__ string
+        "src/repro/pkg/__init__.py": (
+            "from .impl import (\n    exported,\n    called,\n)\n"
+            '__all__ = [\n    "exported",\n    "called",\n]\n'
+            "called()\n"
+        ),
+        "src/repro/pkg/impl.py": (
+            "def exported():\n    pass\n"
+            "def called():\n    pass\n"
+            "@register_driver\nclass Driver:\n    pass\n"
+        ),
         # a name in a string (a getattr list) is a use; two definitions of
         # one name are not each other's use
         "bench/layers.py": 'NAMES = "by_name"\n',
@@ -205,4 +245,5 @@ def test_definition_guard_counts_uses_not_definitions(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     assert unused_definitions(tmp_path) == [
-        "mod:Other.twin", "mod:Used.lonely", "mod:Used.twin"]
+        "mod:Other.twin", "mod:Used.lonely", "mod:Used.twin",
+        "pkg.impl:exported"]

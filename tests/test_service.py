@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.cluster import Cluster
 from repro.errors import (
     KeyNotFoundError,
     ProtocolError,
@@ -28,6 +29,7 @@ from repro.service.loadgen import (
 from repro.service.server import ServiceClient, ServiceServer, _read_frame
 from repro.service.shard import ShardExecutor
 from repro.service.wire import Request
+from repro.sim.trace import RankTrace
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +253,11 @@ def test_core_modeled_clock_is_deterministic():
     assert run() == run()
 
 
-def test_core_trace_stays_flat_without_engine_spans(monkeypatch):
+def test_core_trace_stays_flat_without_engine_spans():
     """With ``collect_engine_spans`` off, a request's spans leave the
     service trace once offered to the flight recorder: many requests keep
     the trace bounded, and STATS counters/latency equal a run that keeps
     every span."""
-    monkeypatch.setenv("REPRO_TRACE", "full")
-
     def run(collect: bool):
         core = ServiceCore(ServiceConfig(nshards=2,
                                          collect_engine_spans=collect))
@@ -278,6 +278,35 @@ def test_core_trace_stays_flat_without_engine_spans(monkeypatch):
     assert a["clock_ns"] == b["clock_ns"]
     assert a["counters"] == b["counters"]
     assert a["latency"] == b["latency"]
+
+
+@pytest.mark.parametrize("collect", [False, True])
+def test_engine_spans_expanded_only_when_collected(monkeypatch, collect):
+    """A shard run's spans are expanded (``RankTrace.spans`` read) only
+    when the core collects engine spans; with ``collect_engine_spans``
+    off, as ``serve`` and the load generator run, nothing reads them."""
+    shard_traces, reads = [], []
+    run, spans = Cluster.run, RankTrace.spans
+
+    def traced_run(self, *args, **kw):
+        res = run(self, *args, **kw)
+        shard_traces.extend(res.traces)
+        return res
+
+    def counted_spans(trace):
+        reads.append(trace)
+        return spans.fget(trace)
+
+    monkeypatch.setattr(Cluster, "run", traced_run)
+    monkeypatch.setattr(RankTrace, "spans", property(counted_spans))
+    core = ServiceCore(ServiceConfig(nshards=1,
+                                     collect_engine_spans=collect))
+    a = np.arange(64, dtype=np.float64)
+    _rpc(core, wire.encode_store(1, "v", a))
+    _rpc(core, wire.encode_load(2, "v"))
+    assert len(shard_traces) == 2
+    expanded = [t for t in reads if any(t is s for s in shard_traces)]
+    assert bool(expanded) == collect
 
 
 def test_core_admission_control_backpressure():

@@ -211,11 +211,11 @@ class TestMetricPrimitives:
         per_rank = [t.metrics for t in res.traces]
         assert all(r is not None for r in per_rank)
         merged = merged_metrics(res.traces)
-        h = merged.get("pmemcpy.store.ns")
-        assert h.count == sum(r.get("pmemcpy.store.ns").count
+        h = merged.get("span.pmemcpy.store.ns")
+        assert h.count == sum(r.get("span.pmemcpy.store.ns").count
                               for r in per_rank) == 4
         assert h.sum == pytest.approx(
-            sum(r.get("pmemcpy.store.ns").sum for r in per_rank))
+            sum(r.get("span.pmemcpy.store.ns").sum for r in per_rank))
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +286,29 @@ class TestSpanErrorPath:
 
 
 # ---------------------------------------------------------------------------
-# trace modes
+# trace modes: there is one, every span recorded
 # ---------------------------------------------------------------------------
 
 class TestTraceModes:
-    def test_off_disables_spans_keeps_metrics(self, monkeypatch):
+    def test_every_span_recorded_whatever_the_environment(self, monkeypatch):
+        """Span recording has no mode: ``REPRO_TRACE=off`` in the
+        environment, which once switched spans off, changes nothing."""
+        def spans_and_latency():
+            restart_span_ids()
+            res = store_run("hashtable")
+            return ([s.as_dict() for s in spans_of(res.traces)],
+                    merged_metrics(res.traces).as_dict())
+
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        default = spans_and_latency()
         monkeypatch.setenv("REPRO_TRACE", "off")
-        res = store_run("hashtable")
-        assert spans_of(res.traces) == []
-        reg = merged_metrics(res.traces)
-        # always-on families survive with tracing off
-        assert reg.get("pmemcpy.store.ns").count == 2
-        assert reg.get("meta.stripe.acquires").count > 0
+        assert spans_and_latency() == default
+        assert sum(s["name"] == "pmemcpy.store" for s in default[0]) == 2
 
     @pytest.mark.parametrize("nested", [False, True])
-    @pytest.mark.parametrize("mode", ["off", "sampled", "full"])
-    def test_leaves_equal_begin_end_pairs(self, monkeypatch, mode, nested):
+    def test_leaves_equal_begin_end_pairs(self, nested):
         """``Tracer.leaves`` records what one ``span`` per leaf records:
-        same spans, same ``span.<name>.ns`` samples, same sampling."""
-        monkeypatch.setenv("REPRO_TRACE", mode)
-
+        same spans, same span ids, same ``span.<name>.ns`` samples."""
         def fn(ctx, bulk):
             restart_span_ids()
             for rnd in range(3):
@@ -328,15 +331,13 @@ class TestTraceModes:
             return (
                 [(s.span_id, s.parent_id, s.name, s.start_ns, s.end_ns,
                   s.attrs, s.status) for s in ctx.trace.spans],
-                h and (h.buckets, h.count, h.sum, h.min, h.max),
-                tracer_for(ctx)._roots_seen,
+                (h.buckets, h.count, h.sum, h.min, h.max),
             )
 
         one = cluster().run(1, lambda ctx: fn(ctx, False)).returns[0]
         many = cluster().run(1, lambda ctx: fn(ctx, True)).returns[0]
         assert many == one
-        kept = {"off": 0, "full": 150}.get(mode, 3 if not nested else 50)
-        assert sum(s[2] == "leaf" for s in one[0]) == kept
+        assert sum(s[2] == "leaf" for s in one[0]) == 150
 
     def test_span_ids_stay_unique_across_rank_threads(self):
         """Rank threads mint span ids from one counter while others take
@@ -365,34 +366,6 @@ class TestTraceModes:
         for batch in batches:
             assert [s.span_id for s in batch.spans()] == list(
                 range(batch.first_id, batch.first_id + 97))
-
-    def test_sampled_keeps_one_in_n_roots(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "sampled")
-        cl = cluster()
-
-        def fn(ctx):
-            for _ in range(130):
-                with span(ctx, "root"):
-                    with span(ctx, "child"):
-                        pass
-
-        res = cl.run(1, fn)
-        spans = spans_of(res.traces)
-        # roots 0, 64, 128 sampled; each keeps its complete subtree
-        assert sum(s.name == "root" for s in spans) == 3
-        assert sum(s.name == "child" for s in spans) == 3
-
-    def test_unknown_mode_falls_back_to_full(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "everything-please")
-        cl = cluster()
-
-        def fn(ctx):
-            with span(ctx, "root"):
-                pass
-            assert tracer_for(ctx).mode == "full"
-
-        res = cl.run(1, fn)
-        assert len(spans_of(res.traces)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +487,7 @@ def test_stats_returns_deep_copies(layout):
         assert fresh["variables"]["A"]["nchunks"] != 999
         assert fresh["metrics"]["pmemcpy_store_ops"]["value"] == 1
         # the live registry was never touched
-        assert metrics_for(ctx).get("pmemcpy.store.ns").count == 1
+        assert metrics_for(ctx).get("span.pmemcpy.store.ns").count == 1
         pmem.munmap()
 
     cl.run(1, fn)
@@ -614,7 +587,7 @@ def test_job_result_carries_metrics_and_spans():
     assert r.job_id() == "PMCPY-B_write_2p"
     # typed registry serialized per job
     reg = MetricRegistry.from_dict(r.metrics)
-    assert reg.get("pmemcpy.store.ns").count >= 2
+    assert reg.get("span.pmemcpy.store.ns").count >= 2
     # stripe occupancy and the device's persistence counters ride along
     assert reg.get("meta.stripe.acquires").nonzero_buckets()
     assert reg.get("device_stores").kind == "gauge"
