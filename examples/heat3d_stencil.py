@@ -84,20 +84,11 @@ def run_app(ctx, *, crash_after: int | None, start_fresh: bool):
         exchange_halos(comm, u, None)
         u = jacobi_step(u)
         if (step + 1) % CHECKPOINT_EVERY == 0:
-            # rank-staggered checkpoint I/O: with every rank storing at
-            # once, the metadata-lock queue forms in functional thread
-            # arrival order, which is racy — and the exported trace
-            # artifact churns across identical runs.  Serializing by rank
-            # makes the lock order (and the committed trace) byte-stable;
-            # the concurrent-store path stays covered by the test suite
-            # and benchmarks.
             if comm.rank == 0:
                 pmem.alloc("ckpt/u", N)
             comm.barrier()
-            for r in range(comm.size):
-                if comm.rank == r:
-                    pmem.store("ckpt/u", u[1:-1], offsets=offsets)
-                comm.barrier()
+            pmem.store("ckpt/u", u[1:-1], offsets=offsets)
+            comm.barrier()
             if comm.rank == 0:
                 pmem.store("ckpt/step", float(step + 1))
             comm.barrier()

@@ -42,7 +42,7 @@ class JobResult:
     metrics: dict                # MetricRegistry.as_dict()
     spans: list[Span]
     #: full repro-critpath/1 document of the run's causal replay (path
-    #: steps, lock hand-offs, contention stats) — written by --critpath-out
+    #: steps, lock hand-offs, contention stats) — written by --telemetry-out
     critpath: dict
 
     def row(self) -> tuple:

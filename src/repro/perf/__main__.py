@@ -20,7 +20,7 @@ Usage::
 
     # causal analysis of one scenario: critical path by span family,
     # lock hand-offs, per-stripe contention, what-if estimates
-    python -m repro.perf doctor SCENARIO [--json FILE] [--flame-out FILE]
+    python -m repro.perf doctor SCENARIO [--json FILE]
 
     # the doctor's own gate: byte-stable output, shares summing to 100%,
     # and an empty self-diff
@@ -174,9 +174,9 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-def _analyze_scenario(name: str) -> tuple[dict, dict, object]:
+def _analyze_scenario(name: str) -> tuple[dict, dict]:
     """Run one scenario with the doctor's capture hook armed; returns
-    ``(critpath_doc, perf_record, spmd_result_or_None)``."""
+    ``(critpath_doc, perf_record)``."""
     from ..telemetry.critpath import (
         capture_analysis,
         critical_path_spans,
@@ -195,73 +195,22 @@ def _analyze_scenario(name: str) -> tuple[dict, dict, object]:
         # sc.run() timed res causally; this reads that replay, it runs none
         cp = critical_path_spmd(res)
         wi = whatif_report(res.traces, cp.total_ns, machine=res.machine)
-        return critpath_doc(cp, whatif=wi, scenario=name), rec, res
+        return critpath_doc(cp, whatif=wi, scenario=name), rec
     if service:
         core, t0 = service[-1]
         cp = critical_path_spans(core.ctx.trace.spans, t0, core.clock_ns)
-        return critpath_doc(cp, scenario=name), rec, None
+        return critpath_doc(cp, scenario=name), rec
     raise RuntimeError(
         f"scenario {name} offered no analyzable run to the doctor"
     )
 
 
-def _render_doctor(doc: dict) -> str:
-    lines = [f"== perf doctor: {doc.get('scenario', '?')} =="]
-    lines.append(
-        f"  critical path {_fmt_quantity(doc['total_ns'], 'ns')} "
-        f"(source: {doc['source']})"
-    )
-    fams = doc.get("families", {})
-    if fams:
-        lines.append("  critical-path share by span family:")
-        ranked = sorted(fams.items(), key=lambda kv: (-kv[1]["ns"], kv[0]))
-        for fam, row in ranked[:12]:
-            lines.append(
-                f"    {fam:<22} {_fmt_quantity(row['ns'], 'ns'):<16} "
-                f"{row['share'] * 100:6.2f}%"
-            )
-        if len(ranked) > 12:
-            lines.append(f"    ... and {len(ranked) - 12} smaller families")
-    handoffs = doc.get("handoffs", {})
-    if handoffs:
-        lines.append("  waits jumped on the path (blame stays with the "
-                     "holder's work):")
-        for fam, h in sorted(handoffs.items(),
-                             key=lambda kv: -kv[1]["wait_ns"]):
-            lines.append(
-                f"    {fam:<22} {h['count']:>4} hand-offs, "
-                f"{_fmt_quantity(h['wait_ns'], 'ns')} waited"
-            )
-    contention = doc.get("contention", {})
-    if contention:
-        lines.append("  lock contention (wait-for graph):")
-        ranked = sorted(contention.items(),
-                        key=lambda kv: (-kv[1]["wait_ns"], kv[0]))
-        for lock_id, st in ranked[:8]:
-            lines.append(
-                f"    {lock_id:<28} {st['acquires']:>5} acq "
-                f"({st['contended']} contended, queue<={st['max_queue']})  "
-                f"wait {_fmt_quantity(st['wait_ns'], 'ns')}  "
-                f"hold mean {_fmt_quantity(st['mean_hold_ns'], 'ns')}"
-            )
-        if len(ranked) > 8:
-            lines.append(f"    ... and {len(ranked) - 8} quieter locks")
-    whatif = doc.get("whatif")
-    if whatif:
-        lines.append("  what-if (replayed counterfactuals, ranked by "
-                     "time saved):")
-        for row in whatif:
-            lines.append(
-                f"    {row['name']:<12} -> "
-                f"{_fmt_quantity(row['modeled_ns'], 'ns'):<16} "
-                f"saves {_fmt_quantity(row['delta_ns'], 'ns'):<16} "
-                f"({row['speedup']:.2f}x)"
-            )
-    return "\n".join(lines)
-
-
 def cmd_doctor(args) -> int:
-    from ..telemetry.critpath import critpath_dumps, validate_critpath
+    from ..telemetry.critpath import (
+        critpath_dumps,
+        render_critpath,
+        validate_critpath,
+    )
 
     if args.selftest:
         return _doctor_selftest()
@@ -269,13 +218,13 @@ def cmd_doctor(args) -> int:
         print("error: doctor needs a scenario name (or --selftest)",
               file=sys.stderr)
         return 2
-    doc, _rec, res = _analyze_scenario(args.scenario_name)
+    doc = _analyze_scenario(args.scenario_name)[0]
     errs = validate_critpath(doc)
     if errs:
         print(f"error: doctor produced an invalid critpath doc: {errs[:3]}",
               file=sys.stderr)
         return 1
-    print(_render_doctor(doc))
+    print(render_critpath(doc, f"perf doctor: {args.scenario_name}"))
     if args.json:
         d = os.path.dirname(args.json)
         if d:
@@ -284,19 +233,6 @@ def cmd_doctor(args) -> int:
             f.write(critpath_dumps(doc))
             f.write("\n")
         print(f"[json] {args.json}")
-    if args.flame_out:
-        from ..telemetry.flame import write_folded
-
-        if res is None:
-            print("[flame] scenario has no replayable span forest; "
-                  "skipping --flame-out")
-        else:
-            d = os.path.dirname(args.flame_out)
-            if d:
-                os.makedirs(d, exist_ok=True)
-            write_folded(args.flame_out, res.traces)
-            print(f"[flame] {args.flame_out} (fold with speedscope or "
-                  f"flamegraph.pl)")
     return 0
 
 
@@ -332,7 +268,7 @@ def _doctor_selftest() -> int:
     names = ["mem.memcpy_persist", "meta.lock_single",
              "service.rpc_store", "fig6.PMCPY-B.8p"]
     for name in names:
-        doc, rec, _res = _analyze_scenario(name)
+        doc, rec = _analyze_scenario(name)
         errs = validate_critpath(doc)
         if errs:
             failures.append(f"{name}: invalid critpath doc: {errs[:2]}")
@@ -419,8 +355,6 @@ def main(argv=None) -> int:
                    help="run the doctor's own correctness gate instead")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write the repro-critpath/1 document to FILE")
-    p.add_argument("--flame-out", default=None, metavar="FILE",
-                   help="write folded flamegraph stacks to FILE")
     p.set_defaults(fn=cmd_doctor)
 
     args = ap.parse_args(argv)

@@ -10,11 +10,11 @@ stage (the deliberate copy a compressor needs).
 Telemetry: each operation updates the rank's metric registry
 (``repro.telemetry``) — op counts, logical vs stored bytes, staging passes,
 meta-lock contention, and the stripe-occupancy, meta-lock hold and
-op-latency histograms — surfaced via :meth:`PMEM.stats` and the harness's
-``--profile`` flag.  Every store/load additionally opens a structured span
-tree (``pmemcpy.store`` → ``store.reserve``/``meta-lock``/``store.alloc``/
-``store.serialize``/
-``memcpy``/``store.persist``/``store.publish``) timed in modeled ns, so a
+op-latency histograms — surfaced via :meth:`PMEM.stats` and the
+harness's ``--telemetry-out`` directory.  Every store/load additionally
+opens a structured span tree (``pmemcpy.store`` → ``store.reserve``/
+``meta-lock``/``store.alloc``/``store.serialize``/``memcpy``/
+``store.persist``/``store.publish``) timed in modeled ns, so a
 single operation can be replayed in Perfetto; see DESIGN.md §9.
 
 Metadata concurrency (the striped-locks redesign): every metadata access
@@ -52,7 +52,7 @@ from ..serial import DramSink, DramSource, get_serializer
 from ..serial.filters import FilterPipeline
 from ..telemetry import LANE_BOUNDS, metrics_for, record, span
 from ..telemetry.export import registry_percentiles
-from .cache import DEFAULT_CHUNK_CACHE_BYTES, ChunkCache
+from .cache import ChunkCache
 from .dataset import Chunk, VariableMeta, split_at_chunk_grid
 from .engine import Layout
 from .layout_fs import HierarchicalLayout
@@ -103,7 +103,6 @@ class PMEM:
         filters: tuple | list = (),
         meta_stripes: int | None = None,
         meta_rw: bool | None = None,
-        chunk_cache_bytes: int = DEFAULT_CHUNK_CACHE_BYTES,
     ):
         self.serializer = get_serializer(serializer)
         if layout not in _LAYOUTS:
@@ -136,7 +135,7 @@ class PMEM:
         self.pipeline = FilterPipeline(filters) if filters else None
         # decoded-chunk LRU: repeated partial reads of one *filtered* chunk
         # pay the fetch + decode once (see repro.pmemcpy.cache)
-        self._chunk_cache = ChunkCache(chunk_cache_bytes)
+        self._chunk_cache = ChunkCache()
         self._ctx = None
         self._comm = None
         self.path: str | None = None

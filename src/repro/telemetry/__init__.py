@@ -9,14 +9,17 @@ Two layers, one for counting and one for timing:
    and an access-size or latency histogram's count/sum are its op and
    byte/ns totals, so nothing is counted twice.
 2. **Structured spans** (:mod:`.spans`) — causal, timed trees over every
-   store/load, exported as Chrome/Perfetto trace JSON or a Darshan-style
-   record table (:mod:`.export`); every span is recorded.
+   store/load, exported as Chrome/Perfetto trace JSON (:mod:`.export`)
+   and reduced to one answer of where a run's time went, its critical
+   path (:mod:`.critpath`, schema ``repro-critpath/1``); every span is
+   recorded.
 
 Both live on the rank's :class:`~repro.sim.trace.RankTrace` so they
 survive the SPMD run: aggregate a finished run with
 :func:`merged_metrics` / :func:`spans_of` over ``result.traces``, or read
 one store's view via ``PMEM.stats()["metrics"]``.
-``python -m repro.telemetry`` renders the profile report.
+``python -m repro.telemetry report DIR`` renders a job's critical path and
+registry from the directory :func:`~.export.write_jobs` writes.
 """
 
 from __future__ import annotations
@@ -45,12 +48,6 @@ from .critpath import (
     validate_critpath,
     whatif_report,
 )
-from .flame import (
-    folded_stacks,
-    render_folded,
-    validate_folded,
-    write_folded,
-)
 from .flight import (
     FLIGHT_SCHEMA,
     FlightRecord,
@@ -67,7 +64,6 @@ from .spans import (
     Span,
     Tracer,
     as_span_list,
-    exclusive_ns_by_family,
     family_of,
     span,
     spans_of,
@@ -78,13 +74,12 @@ __all__ = [
     "record", "Counter", "Gauge", "Histogram", "MetricRegistry",
     "LOG2_BOUNDS", "LANE_BOUNDS", "metrics_for", "merged_metrics",
     "Span", "Tracer", "span", "tracer_for", "spans_of",
-    "as_span_list", "exclusive_ns_by_family", "family_of",
+    "as_span_list", "family_of",
     "CRITPATH_SCHEMA", "CriticalPath", "critical_path_replay",
     "critical_path_spans", "critical_path_spmd", "critpath_doc",
     "critpath_dumps", "critpath_summary", "critpath_culprits",
     "narrate_culprits", "validate_critpath", "whatif_report",
     "capture_analysis", "offer_capture",
-    "folded_stacks", "render_folded", "validate_folded", "write_folded",
     "FLIGHT_SCHEMA", "FlightRecord", "FlightRecorder",
     "flight_chrome_trace", "validate_flight_dump",
     "prometheus_text", "sanitize_metric_name", "validate_prometheus_text",

@@ -1,17 +1,19 @@
-"""CLI: render and produce I/O observability artifacts.
+"""CLI: produce and read the per-job telemetry directory.
 
 Usage::
 
-    # render the Darshan-style profile report from saved artifacts
-    python -m repro.telemetry report --metrics results/metrics.json \
-        --trace results/traces/pmemcpy_write_8p.trace.json [--job NAME]
-
-    # fig6-style smoke across all six drivers, writing the artifacts
+    # fig6-style smoke across all six drivers, writing the directory
     python -m repro.telemetry smoke --out results/telemetry
 
-``report`` consumes exactly what ``smoke`` (or ``python -m repro.harness
-fig6 --trace-out/--metrics-out``) writes: a Chrome/Perfetto trace JSON per
-job plus one metrics JSON keyed by job id.
+    # where did a job's time go: its critical path, then its registry
+    python -m repro.telemetry report results/telemetry [--job NAME]
+
+``report`` reads exactly what ``smoke`` (or ``python -m repro.harness
+fig6 --telemetry-out DIR``) writes through
+:func:`~repro.telemetry.export.write_jobs`: per job a Chrome/Perfetto
+``<job>.trace.json`` and a ``<job>.critpath.json``, plus one
+``metrics.json`` keyed by job id.  With no ``--job`` it prints every job's
+critical path and the registries merged across jobs.
 """
 
 from __future__ import annotations
@@ -55,88 +57,51 @@ def _run_smoke(directions=("write",)):
     return results
 
 
+def render_job(job: str, critpath: dict, metrics: dict) -> str:
+    """One job's profile: its critical path, then its metric registry."""
+    from .critpath import render_critpath
+    from .metrics import MetricRegistry
+
+    return "\n".join((
+        render_critpath(critpath, f"{job}: critical path"),
+        MetricRegistry.from_dict(metrics).render(f"{job}: metric families"),
+    ))
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    from .export import render_report, spans_from_chrome, spans_from_dicts
+    from .critpath import render_critpath
+    from .export import METRICS_FILE
     from .metrics import MetricRegistry
 
-    spans = None
-    if args.trace:
-        with open(args.trace) as f:
-            doc = json.load(f)
-        # accept either a chrome_trace document or a raw span-dict list
-        spans = spans_from_chrome(doc) if isinstance(doc, dict) \
-            else spans_from_dicts(doc)
-    metrics = None
-    if args.metrics:
-        with open(args.metrics) as f:
-            doc = json.load(f)
-        # per-job file from --metrics-out, or a single registry dict
-        if doc and all(isinstance(v, dict) and "kind" not in v
-                       for v in doc.values()):
-            if args.job:
-                try:
-                    doc = doc[args.job]
-                except KeyError:
-                    jobs = ", ".join(sorted(doc))
-                    print(f"error: no job {args.job!r}; available: {jobs}",
-                          file=sys.stderr)
-                    return 2
-            else:
-                merged = MetricRegistry()
-                for job_doc in doc.values():
-                    merged.merge(MetricRegistry.from_dict(job_doc))
-                metrics = merged
-        if metrics is None:
-            metrics = MetricRegistry.from_dict(doc)
-    if spans is None and metrics is None:
-        print("error: need --trace and/or --metrics", file=sys.stderr)
+    try:
+        with open(os.path.join(args.dir, METRICS_FILE)) as f:
+            jobs = json.load(f)
+    except FileNotFoundError:
+        print(f"error: {args.dir} has no {METRICS_FILE}; write it with "
+              f"`harness ... --telemetry-out` or `telemetry smoke`",
+              file=sys.stderr)
         return 2
-    title = args.job or (os.path.basename(args.trace) if args.trace
-                         else "I/O profile")
-    if args.json:
-        # machine-readable mirror of the rendered report, in the same
-        # repro-critpath/1 shape ``perf doctor --json`` emits (the report
-        # keys ride along as extras, which the schema allows) — one
-        # validator covers both artifacts
-        from .critpath import (
-            CRITPATH_SCHEMA,
-            critical_path_spans,
-            critpath_doc,
-            critpath_dumps,
-            validate_critpath,
-        )
-        from .export import darshan_records, registry_percentiles
-        from .spans import exclusive_ns_by_family
+    if args.job is not None and args.job not in jobs:
+        print(f"error: no job {args.job!r}; available: "
+              f"{', '.join(sorted(jobs))}", file=sys.stderr)
+        return 2
 
-        extras = {
-            "title": title,
-            "span_count": len(spans) if spans else 0,
-            "exclusive_ns_by_family":
-                exclusive_ns_by_family(spans) if spans else {},
-            "darshan": darshan_records(spans) if spans else [],
-            "latency": registry_percentiles(metrics) if metrics else {},
-            "metrics": metrics.as_dict() if metrics else {},
-        }
-        if spans:
-            doc = critpath_doc(critical_path_spans(spans), **extras)
-        else:
-            # metrics-only report: no span forest to walk, so the
-            # critical-path section is legitimately empty
-            doc = {"schema": CRITPATH_SCHEMA, "source": "spans",
-                   "total_ns": 0.0, "families": {}, **extras}
-        errors = validate_critpath(doc)
-        if errors:
-            for e in errors[:5]:
-                print(f"error: {e}", file=sys.stderr)
-            return 1
-        sys.stdout.write(critpath_dumps(doc))
-        print()
+    def critpath(job: str) -> dict:
+        with open(os.path.join(args.dir, f"{job}.critpath.json")) as f:
+            return json.load(f)
+
+    if args.job is not None:
+        print(render_job(args.job, critpath(args.job), jobs[args.job]))
         return 0
-    print(render_report(metrics, spans, title=title))
+    merged = MetricRegistry()
+    for job in sorted(jobs):
+        print(render_critpath(critpath(job), f"{job}: critical path"))
+        merged.merge(MetricRegistry.from_dict(jobs[job]))
+    print(merged.render(f"all {len(jobs)} jobs: metric families"))
     return 0
 
 
@@ -145,35 +110,17 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_smoke(args) -> int:
-    from .export import (
-        chrome_trace,
-        render_report,
-        validate_chrome_trace,
-        write_json,
-    )
-    from .metrics import MetricRegistry
+    from .export import write_jobs
 
     results = _run_smoke()
-    trace_dir = os.path.join(args.out, "traces")
-    os.makedirs(trace_dir, exist_ok=True)
-    metrics_path = os.path.join(args.out, "metrics.json")
-    bad = 0
+    errors = write_jobs(args.out, results)
     for r in results:
-        doc = chrome_trace(r.spans, process_name=r.job_id())
-        errors = validate_chrome_trace(doc)
-        if errors:
-            bad += 1
-            for e in errors[:5]:
-                print(f"[invalid] {r.job_id()}: {e}", file=sys.stderr)
-        path = write_json(
-            os.path.join(trace_dir, f"{r.job_id()}.trace.json"), doc)
-        print(f"[trace] {path}  ({len(r.spans)} spans)")
-        print(render_report(MetricRegistry.from_dict(r.metrics), r.spans,
-                            title=r.job_id()))
+        print(render_job(r.job_id(), r.critpath, r.metrics))
         print()
-    write_json(metrics_path, {r.job_id(): r.metrics for r in results})
-    print(f"[metrics] {metrics_path}")
-    return 1 if bad else 0
+    for e in errors:
+        print(f"[invalid] {e}", file=sys.stderr)
+    print(f"[telemetry] {args.out} ({len(results)} jobs)")
+    return 1 if errors else 0
 
 
 def main(argv=None) -> int:
@@ -181,14 +128,9 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("report", help="render the profile report")
-    p.add_argument("--trace", default=None,
-                   help="Chrome trace JSON (or raw span-dict list)")
-    p.add_argument("--metrics", default=None,
-                   help="metrics JSON (per-job map or single registry)")
+    p.add_argument("dir", help="directory written by write_jobs")
     p.add_argument("--job", default=None,
-                   help="job id to select from a per-job metrics file")
-    p.add_argument("--json", action="store_true",
-                   help="emit the report as machine-readable JSON")
+                   help="render one job (default: every job)")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("smoke", help="fig6 smoke across all six drivers")

@@ -1,11 +1,13 @@
 """Cross-rank critical-path extraction and contention analysis.
 
-The observatory's exclusive-time profile answers "where was time *spent*";
-this module answers "which time actually *gated* the end-to-end result".
-The two diverge exactly when ranks overlap: a family can burn 80% of the
-summed rank-seconds yet sit entirely off the critical path (perfectly
-parallel), while a short serialized section (a metadata lock, a barrier
-straggler) dominates the makespan.
+The observatory answers "where did this job's time go" with the time that
+actually *gated* the end-to-end result, not the time summed over ranks:
+a family can burn 80% of the summed rank-seconds yet sit entirely off the
+critical path (perfectly parallel), while a short serialized section (a
+metadata lock, a barrier straggler) dominates the makespan.  The perf
+gate, ``perf doctor`` and ``telemetry report`` all read this module's
+``repro-critpath/1`` document, and :func:`render_critpath` is its one
+human-readable view.
 
 Two sources, one schema (``repro-critpath/1``):
 
@@ -27,7 +29,7 @@ Two sources, one schema (``repro-critpath/1``):
 
 ``source="spans"``
     The single-clock fallback for span forests without replayable ops —
-    service requests (PR 9 flight records), chrome-trace dumps.  Innermost
+    service requests and their flight records.  Innermost
     span self-intervals are clipped to the analysis window; uncovered time
     is ``untraced``; overlapping coverage (parallel shards absorbed into
     one service clock) is normalized so shares still sum to 100%.
@@ -51,6 +53,7 @@ from ..config import DEFAULT_MACHINE
 from ..sim.fluid import FluidSimulator
 from ..sim.resources import build_standard_resources
 from ..sim.trace import Acquire, Delay, RankTrace, Release, Transfer
+from .metrics import _fmt_quantity
 from .spans import as_span_list, family_of
 
 CRITPATH_SCHEMA = "repro-critpath/1"
@@ -463,6 +466,64 @@ def critpath_doc(cp: CriticalPath, *, contention: bool = True,
         doc["whatif"] = whatif
     doc.update(extra)
     return doc
+
+
+def render_critpath(doc: dict, title: str) -> str:
+    """The one human-readable view of a repro-critpath/1 document: path
+    total, share by span family, jumped waits, lock contention and
+    what-ifs (each section only when the document carries it)."""
+    lines = [
+        f"== {title} ==",
+        f"  critical path {_fmt_quantity(doc['total_ns'], 'ns')} "
+        f"(source: {doc['source']})",
+    ]
+    fams = doc.get("families", {})
+    if fams:
+        lines.append("  critical-path share by span family:")
+        ranked = sorted(fams.items(), key=lambda kv: (-kv[1]["ns"], kv[0]))
+        for fam, row in ranked[:12]:
+            lines.append(
+                f"    {fam:<22} {_fmt_quantity(row['ns'], 'ns'):<16} "
+                f"{row['share'] * 100:6.2f}%"
+            )
+        if len(ranked) > 12:
+            lines.append(f"    ... and {len(ranked) - 12} smaller families")
+    handoffs = doc.get("handoffs", {})
+    if handoffs:
+        lines.append("  waits jumped on the path (blame stays with the "
+                     "holder's work):")
+        for fam, h in sorted(handoffs.items(),
+                             key=lambda kv: -kv[1]["wait_ns"]):
+            lines.append(
+                f"    {fam:<22} {h['count']:>4} hand-offs, "
+                f"{_fmt_quantity(h['wait_ns'], 'ns')} waited"
+            )
+    contention = doc.get("contention", {})
+    if contention:
+        lines.append("  lock contention (wait-for graph):")
+        ranked = sorted(contention.items(),
+                        key=lambda kv: (-kv[1]["wait_ns"], kv[0]))
+        for lock_id, st in ranked[:8]:
+            lines.append(
+                f"    {lock_id:<28} {st['acquires']:>5} acq "
+                f"({st['contended']} contended, queue<={st['max_queue']})  "
+                f"wait {_fmt_quantity(st['wait_ns'], 'ns')}  "
+                f"hold mean {_fmt_quantity(st['mean_hold_ns'], 'ns')}"
+            )
+        if len(ranked) > 8:
+            lines.append(f"    ... and {len(ranked) - 8} quieter locks")
+    whatif = doc.get("whatif")
+    if whatif:
+        lines.append("  what-if (replayed counterfactuals, ranked by "
+                     "time saved):")
+        for row in whatif:
+            lines.append(
+                f"    {row['name']:<12} -> "
+                f"{_fmt_quantity(row['modeled_ns'], 'ns'):<16} "
+                f"saves {_fmt_quantity(row['delta_ns'], 'ns'):<16} "
+                f"({row['speedup']:.2f}x)"
+            )
+    return "\n".join(lines)
 
 
 def validate_critpath(doc: dict) -> list[str]:

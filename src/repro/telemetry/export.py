@@ -1,33 +1,25 @@
-"""Exporters: Chrome/Perfetto trace JSON, Darshan-style records, reports.
-
-Three views of one run's observability data:
+"""Exporters: Chrome/Perfetto trace JSON and the per-job artifact layout.
 
 - :func:`chrome_trace` — the Trace Event Format consumed by Perfetto /
   ``chrome://tracing``: one complete ("ph": "X") event per span, one track
   (tid) per rank, timestamps in microseconds.
-- :func:`darshan_records` — a Darshan-style per-(rank, variable) I/O record
-  table built from the span attributes: op counts, bytes, and time split by
-  direction, the shape of a ``darshan-parser`` counter dump.
-- :func:`render_report` / :func:`render_darshan` — the human-readable
-  breakdown (``python -m repro.telemetry report``): per-span-name latency
-  families with share-of-total attribution.
+- :func:`write_jobs` — the one on-disk layout of a set of finished jobs
+  (``python -m repro.harness ... --telemetry-out DIR`` and ``python -m
+  repro.telemetry smoke --out DIR``), which ``python -m repro.telemetry
+  report DIR`` reads back: per job a trace and its ``repro-critpath/1``
+  document, plus one ``metrics.json`` of per-job registries.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
-from .metrics import Histogram, MetricRegistry, _fmt_quantity
-from .spans import Span, as_span_list, child_ns_index
+from .metrics import Histogram, MetricRegistry
+from .spans import Span, as_span_list
 
-#: span names that carry a ``var`` attribute and count as I/O operations
-#: for the Darshan record table, mapped to their direction
-_IO_SPANS = {
-    "pmemcpy.store": "write",
-    "pmemcpy.load": "read",
-    "driver.write": "write",
-    "driver.read": "read",
-}
+#: name of the per-job registry map in a :func:`write_jobs` directory
+METRICS_FILE = "metrics.json"
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +33,7 @@ def chrome_trace(traces_or_spans, *, process_name: str = "repro") -> dict:
     list.  Every span becomes a complete event on its rank's track; ranks
     are labelled through ``thread_name`` metadata events.
     """
-    spans = _as_spans(traces_or_spans)
+    spans = as_span_list(traces_or_spans)
     events: list[dict] = [{
         "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
         "args": {"name": process_name},
@@ -127,163 +119,11 @@ def validate_chrome_trace(doc) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Darshan-style per-rank/per-variable records
-# ---------------------------------------------------------------------------
-
-def darshan_records(traces_or_spans) -> list[dict]:
-    """Per-(rank, variable) I/O characterization rows, Darshan-style.
-
-    Aggregates the I/O-op spans (store/load at the pMEMCPY level, the
-    driver write/read spans for the baselines) into one record per rank and
-    variable: op counts, byte totals, cumulative time, and the slowest
-    single operation — the counters a ``darshan-parser`` dump leads with.
-    """
-    spans = _as_spans(traces_or_spans)
-    # only the outermost I/O span of a nest counts: the pmemcpy driver's
-    # ``driver.write`` wraps a ``pmemcpy.store`` and both are I/O ops, but
-    # they describe the same bytes
-    io_ids = {s.span_id for s in spans if s.name in _IO_SPANS}
-    recs: dict[tuple[int, str], dict] = {}
-    for s in spans:
-        direction = _IO_SPANS.get(s.name)
-        if direction is None or not s.attrs:
-            continue
-        if s.parent_id is not None and s.parent_id in io_ids:
-            continue
-        var = s.attrs.get("var")
-        if var is None:
-            continue
-        rec = recs.get((s.rank, var))
-        if rec is None:
-            rec = recs[(s.rank, var)] = {
-                "rank": s.rank, "var": var,
-                "writes": 0, "write_bytes": 0, "write_ns": 0.0,
-                "reads": 0, "read_bytes": 0, "read_ns": 0.0,
-                "errors": 0, "slowest_ns": 0.0,
-            }
-        rec[f"{direction}s"] += 1
-        rec[f"{direction}_bytes"] += int(s.attrs.get("bytes", 0) or 0)
-        rec[f"{direction}_ns"] += s.duration_ns
-        if s.status != "ok":
-            rec["errors"] += 1
-        rec["slowest_ns"] = max(rec["slowest_ns"], s.duration_ns)
-    return [recs[k] for k in sorted(recs)]
-
-
-def render_darshan(records: list[dict],
-                   title: str = "per-rank/per-variable I/O records") -> str:
-    lines = [f"== {title} =="]
-    if not records:
-        lines.append("  (no I/O records)")
-        return "\n".join(lines)
-    hdr = ("rank", "variable", "wr", "wr_bytes", "wr_time", "rd",
-           "rd_bytes", "rd_time", "slowest", "err")
-    rows = [
-        (str(r["rank"]), r["var"], str(r["writes"]),
-         _fmt_quantity(r["write_bytes"], "B"),
-         _fmt_quantity(r["write_ns"], "ns"),
-         str(r["reads"]), _fmt_quantity(r["read_bytes"], "B"),
-         _fmt_quantity(r["read_ns"], "ns"),
-         _fmt_quantity(r["slowest_ns"], "ns"), str(r["errors"]))
-        for r in records
-    ]
-    widths = [max(len(h), *(len(row[i]) for row in rows))
-              for i, h in enumerate(hdr)]
-    lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(hdr, widths)))
-    for row in rows:
-        lines.append("  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Per-phase breakdown report
-# ---------------------------------------------------------------------------
-
-def span_breakdown(traces_or_spans) -> dict[str, dict]:
-    """Aggregate spans by name: count, total/self ns, errors.
-
-    ``self_ns`` is the span's duration minus its recorded children — the
-    exclusive time the Fig. 6/7 attribution wants."""
-    spans = _as_spans(traces_or_spans)
-    child_ns = child_ns_index(spans)
-    out: dict[str, dict] = {}
-    for s in spans:
-        b = out.setdefault(s.name, {
-            "count": 0, "total_ns": 0.0, "self_ns": 0.0,
-            "max_ns": 0.0, "errors": 0,
-        })
-        b["count"] += 1
-        b["total_ns"] += s.duration_ns
-        b["self_ns"] += max(s.duration_ns - child_ns.get(s.span_id, 0.0), 0.0)
-        b["max_ns"] = max(b["max_ns"], s.duration_ns)
-        if s.status != "ok":
-            b["errors"] += 1
-    return out
-
-
-def render_report(metrics: MetricRegistry | None = None,
-                  traces_or_spans=None,
-                  title: str = "I/O profile") -> str:
-    """The Darshan-style human-readable breakdown.
-
-    Works from a metric registry (span latency families + counters), a
-    span set, or both; with both, the span tree supplies exclusive-time
-    attribution and the registry supplies the latency distributions.
-    """
-    lines = [f"== {title} =="]
-    if traces_or_spans is not None:
-        bd = span_breakdown(traces_or_spans)
-        if bd:
-            total = sum(b["self_ns"] for b in bd.values()) or 1.0
-            lines.append("-- per-phase breakdown (exclusive modeled time) --")
-            width = max(len(n) for n in bd)
-            for name in sorted(bd, key=lambda n: -bd[n]["self_ns"]):
-                b = bd[name]
-                err = f"  errors={b['errors']}" if b["errors"] else ""
-                lines.append(
-                    f"  {name:<{width}}  n={b['count']:<7} self="
-                    f"{_fmt_quantity(b['self_ns'], 'ns'):<22} "
-                    f"({100.0 * b['self_ns'] / total:5.1f}%)  total="
-                    f"{_fmt_quantity(b['total_ns'], 'ns')}{err}"
-                )
-    if metrics is not None and len(metrics):
-        fams = [n for n in metrics.names()
-                if n.startswith("span.") and n.endswith(".ns")]
-        if fams:
-            lines.append("-- latency families (modeled ns) --")
-            width = max(len(n) for n in fams)
-            for name in fams:
-                h = metrics.get(name)
-                if not isinstance(h, Histogram) or not h.count:
-                    continue
-                pct = h.percentiles((0.5, 0.99))
-                lines.append(
-                    f"  {name:<{width}}  n={h.count:<7} "
-                    f"mean={_fmt_quantity(h.mean, 'ns'):<20} "
-                    f"p50={_fmt_quantity(pct['p50'], 'ns'):<20} "
-                    f"p99={_fmt_quantity(pct['p99'], 'ns'):<20} "
-                    f"max={_fmt_quantity(h.max, 'ns')}"
-                )
-        others = [n for n in metrics.names() if n not in fams]
-        if others:
-            lines.append("-- metric families --")
-            sub = MetricRegistry()
-            for n in others:
-                sub._m[n] = metrics.get(n)
-            lines.extend(sub.render("").splitlines()[1:])
-    if traces_or_spans is not None:
-        recs = darshan_records(traces_or_spans)
-        if recs:
-            lines.append(render_darshan(recs))
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # (de)serialization helpers shared by the harness and the CLI
 # ---------------------------------------------------------------------------
 
 def spans_to_dicts(traces_or_spans) -> list[dict]:
-    return [s.as_dict() for s in _as_spans(traces_or_spans)]
+    return [s.as_dict() for s in as_span_list(traces_or_spans)]
 
 
 def spans_from_dicts(rows: list[dict]) -> list[Span]:
@@ -297,27 +137,6 @@ def spans_from_dicts(rows: list[dict]) -> list[Span]:
     return out
 
 
-def spans_from_chrome(doc: dict) -> list[Span]:
-    """Rebuild spans from a :func:`chrome_trace` document (its inverse —
-    the 'X' events carry span_id/parent_id/status in ``args``)."""
-    out: list[Span] = []
-    for ev in doc.get("traceEvents", ()):
-        if ev.get("ph") != "X":
-            continue
-        args = dict(ev.get("args") or {})
-        span_id = int(args.pop("span_id", 0) or 0)
-        parent = args.pop("parent_id", None)
-        status = args.pop("status", "ok")
-        s = Span(span_id, int(parent) if parent is not None else None,
-                 ev["name"], int(ev["tid"]), float(ev["ts"]) * 1e3,
-                 args or None)
-        s.end_ns = s.start_ns + float(ev["dur"]) * 1e3
-        s.status = status
-        out.append(s)
-    out.sort(key=lambda s: (s.rank, s.start_ns, s.span_id))
-    return out
-
-
 def write_json(path: str, doc) -> str:
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
@@ -325,8 +144,28 @@ def write_json(path: str, doc) -> str:
     return path
 
 
-def _as_spans(traces_or_spans) -> list[Span]:
-    return as_span_list(traces_or_spans)
+def write_jobs(out_dir: str, results) -> list[str]:
+    """Write finished harness jobs (:class:`~repro.harness.experiment.
+    JobResult`) to ``out_dir``: ``<job>.trace.json`` (Chrome/Perfetto) and
+    ``<job>.critpath.json`` (the job's replay-sourced repro-critpath/1
+    document) per job, plus one :data:`METRICS_FILE` keyed by job id.
+
+    Returns the trace schema violations as ``"<job>: <error>"`` lines,
+    empty when every trace is valid."""
+    from .critpath import critpath_dumps
+
+    os.makedirs(out_dir, exist_ok=True)
+    errors: list[str] = []
+    for r in results:
+        job = r.job_id()
+        doc = chrome_trace(r.spans, process_name=job)
+        errors += [f"{job}: {e}" for e in validate_chrome_trace(doc)]
+        write_json(os.path.join(out_dir, f"{job}.trace.json"), doc)
+        with open(os.path.join(out_dir, f"{job}.critpath.json"), "w") as f:
+            f.write(critpath_dumps(r.critpath) + "\n")
+    write_json(os.path.join(out_dir, METRICS_FILE),
+               {r.job_id(): r.metrics for r in results})
+    return errors
 
 
 def registry_percentiles(
@@ -336,8 +175,8 @@ def registry_percentiles(
     populated histogram of a registry.
 
     The one shared spelling of registry-wide percentile extraction:
-    ``PMEM.stats()``, the service SLO report and the telemetry report all
-    consume this instead of re-deriving bucket math per caller."""
+    ``PMEM.stats()``, the service stats and the SLO report consume this
+    instead of re-deriving bucket math per caller."""
     out: dict[str, dict[str, float]] = {}
     for name in metrics.names():
         h = metrics.get(name)

@@ -346,8 +346,8 @@ class MetricRegistry:
     # ------------------------------------------------------------------ render
 
     def render(self, title: str = "metric families") -> str:
-        """Fixed-width table, one family per line (the ``--profile``
-        view)."""
+        """Fixed-width table, one family per line (what ``telemetry
+        report`` prints after a job's critical path)."""
         lines = [f"== {title} =="]
         if not self._m:
             lines.append("  (no metrics recorded)")

@@ -229,31 +229,3 @@ def family_of(name: str) -> str:
     the one historical outlier is the hyphenated ``meta-lock`` span, which
     attributes as the ``meta.lock`` subsystem."""
     return name.replace("-", ".")
-
-
-def child_ns_index(spans) -> dict[int, float]:
-    """``span_id -> summed duration of its direct children``."""
-    idx: dict[int, float] = {}
-    for s in spans:
-        if s.parent_id is not None:
-            idx[s.parent_id] = idx.get(s.parent_id, 0.0) + s.duration_ns
-    return idx
-
-
-def exclusive_ns_by_family(traces_or_spans) -> dict[str, float]:
-    """Exclusive (self) modeled time per span family.
-
-    Each span contributes its duration minus its recorded children's, so a
-    family's figure is the time spent *in that layer itself* — the quantity
-    perf attribution diffs (:mod:`repro.perf.compare`) and the profile
-    report ranks.  Self time clamps to zero per span, so children that
-    outlast their parent never make a family negative.
-    """
-    spans = as_span_list(traces_or_spans)
-    child = child_ns_index(spans)
-    out: dict[str, float] = {}
-    for s in spans:
-        fam = family_of(s.name)
-        self_ns = max(s.duration_ns - child.get(s.span_id, 0.0), 0.0)
-        out[fam] = out.get(fam, 0.0) + self_ns
-    return out

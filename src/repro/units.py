@@ -3,7 +3,8 @@
 Everything in the simulator is denominated in *bytes* and *nanoseconds*
 (integers where possible, floats where rates are involved).  These helpers
 keep call sites readable (``4 * MiB``, ``1.3 * USEC``) and provide parsing
-for configuration strings such as ``"30GB/s"`` or ``"300ns"``.
+for configuration strings such as ``"30GB/s"`` or ``"2MiB"``; reports
+format quantities through :func:`repro.telemetry.metrics._fmt_quantity`.
 """
 
 from __future__ import annotations
@@ -72,19 +73,6 @@ def parse_size(text: str | int | float) -> int:
     return int(value * _SIZE_SUFFIXES[suffix])
 
 
-def parse_time(text: str | int | float) -> int:
-    """Parse a human time string (``"300ns"``, ``"1.3us"``, ``"5s"``) to ns."""
-    if isinstance(text, (int, float)):
-        return int(text)
-    m = re.fullmatch(_NUM_RE + r"\s*([A-Za-z]+)", text.strip())
-    if not m:
-        raise ValueError(f"unparseable time: {text!r}")
-    value, suffix = float(m.group(1)), m.group(2).lower()
-    if suffix not in _TIME_SUFFIXES:
-        raise ValueError(f"unknown time suffix {suffix!r} in {text!r}")
-    return int(value * _TIME_SUFFIXES[suffix])
-
-
 def parse_bandwidth(text: str | int | float) -> float:
     """Parse ``"30GB/s"``-style bandwidth to bytes/ns.
 
@@ -100,21 +88,3 @@ def parse_bandwidth(text: str | int | float) -> float:
     if per is None:
         raise ValueError(f"unknown bandwidth denominator in {text!r}")
     return parse_size(size_part) / per
-
-
-def fmt_bytes(n: int | float) -> str:
-    """Render a byte count in the most natural binary unit."""
-    n = float(n)
-    for unit, div in (("TiB", TiB), ("GiB", GiB), ("MiB", MiB), ("KiB", KiB)):
-        if abs(n) >= div:
-            return f"{n / div:.2f}{unit}"
-    return f"{n:.0f}B"
-
-
-def fmt_time(ns: int | float) -> str:
-    """Render a nanosecond count in the most natural unit."""
-    ns = float(ns)
-    for unit, div in (("s", SEC), ("ms", MSEC), ("us", USEC)):
-        if abs(ns) >= div:
-            return f"{ns / div:.3f}{unit}"
-    return f"{ns:.0f}ns"

@@ -1,8 +1,7 @@
-"""Causal observability (ISSUE 10): critical-path extraction on
-hand-built span forests with the exact expected path asserted, the
-repro-critpath/1 schema + validator, what-if estimators, flamegraph
-folding, and the per-shard span-id spaces that keep merged
-flight-recorder dumps collision-free."""
+"""Causal observability: critical-path extraction on hand-built span
+forests with the exact expected path asserted, the repro-critpath/1 schema
++ validator, what-if estimators, and the per-shard span-id spaces that
+keep merged flight-recorder dumps collision-free."""
 
 import numpy as np
 import pytest
@@ -29,12 +28,6 @@ from repro.telemetry.critpath import (
     narrate_culprits,
     validate_critpath,
     whatif_report,
-)
-from repro.telemetry.flame import (
-    ORPHAN_FRAME,
-    folded_stacks,
-    render_folded,
-    validate_folded,
 )
 from repro.telemetry.spans import Span, spans_of
 
@@ -334,27 +327,6 @@ def test_culprit_diff_empty_on_self_and_ranked_on_growth():
     assert culprits[0]["delta_ns"] == 100.0
     text = narrate_culprits("meta.lock_single", culprits, total_delta_ns=100.0)
     assert "meta.lock" in text and "meta.lock_single" in text
-
-
-# ---------------------------------------------------------------------------
-# flamegraph folding
-# ---------------------------------------------------------------------------
-
-
-def test_folded_stacks_nest_and_orphan():
-    spans = [
-        mk_span(1, None, "store", 0, 0.0, 100.0),
-        mk_span(2, 1, "memcpy", 0, 10.0, 40.0),
-        mk_span(3, 999, "lost-child", 1, 0.0, 5.0),  # sampled-out parent
-    ]
-    folded = folded_stacks(spans)
-    assert folded["rank 0;store"] == 70
-    assert folded["rank 0;store;memcpy"] == 30
-    assert folded[f"rank 1;{ORPHAN_FRAME};lost-child"] == 5
-    text = render_folded(folded)
-    assert validate_folded(text) == []
-    # sorted, one "stack weight" line each -> byte-stable
-    assert text == render_folded(folded_stacks(list(reversed(spans))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Request-correlated observability: the wire trace context, per-request
 span attribution, the flight recorder, Prometheus exposition, the
-``--json`` report, and the live-server acceptance path."""
+console view, and the live-server acceptance path."""
 
 import asyncio
 import json
@@ -381,25 +381,8 @@ def test_core_prometheus_merges_shard_registries():
 
 
 # ---------------------------------------------------------------------------
-# report --json (satellite) + console view
+# console view
 # ---------------------------------------------------------------------------
-
-
-def test_telemetry_report_json(tmp_path, capsys):
-    from repro.telemetry.__main__ import main as telemetry_main
-
-    reg = MetricRegistry()
-    reg.counter("pmdk.persist").add(4)
-    reg.histogram("span.store.publish.ns").observe(123.0)
-    metrics = tmp_path / "metrics.json"
-    metrics.write_text(json.dumps(reg.as_dict()))
-    rc = telemetry_main(["report", "--metrics", str(metrics), "--json"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["metrics"]["pmdk.persist"]["value"] == 4
-    assert "span.store.publish.ns" in doc["latency"]
-    assert set(doc["latency"]["span.store.publish.ns"]) == \
-        {"p50", "p95", "p99"}
 
 
 def test_console_render_top():

@@ -329,8 +329,11 @@ def test_chunk_cache_eviction_interleaved_partial_reads():
     cap = 2 * data.nbytes  # room for exactly two decoded (8, 8) chunks
 
     def job(ctx):
+        from repro.pmemcpy.cache import ChunkCache
+
         pmem = PMEM(serializer="bp4", layout="hashtable",
-                    filters=("deflate",), chunk_cache_bytes=cap)
+                    filters=("deflate",))
+        pmem._chunk_cache = ChunkCache(cap)
         pmem.mmap("/pmem/partial_evict", Communicator.world(ctx))
         for name, k in (("a", 1), ("b", 2), ("c", 3)):
             pmem.alloc(name, data.shape, np.float64, chunk_shape=(8, 8))

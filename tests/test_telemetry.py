@@ -1,11 +1,12 @@
 """The observability subsystem: typed metric families, structured spans,
-exporters, and the trace-mode knob.
+exporters, and the per-job telemetry directory.
 
-Covers the acceptance bar for the tracing PR: one ``pmem.store()`` on each
-layout yields a rooted span tree whose named children cover >= 90% of the
-modeled time; the Chrome trace export round-trips through JSON and passes
-the schema validator; per-rank metric registries aggregate across ranks;
-and driver phase accounting stays correct on error paths.
+One ``pmem.store()`` on each layout yields a rooted span tree whose named
+children cover >= 90% of the modeled time; the Chrome trace export
+round-trips through JSON and passes the schema validator; per-rank metric
+registries aggregate across ranks; driver phase accounting stays correct
+on error paths; and ``write_jobs`` writes the directory ``python -m
+repro.telemetry report`` reads.
 """
 
 import json
@@ -36,13 +37,10 @@ from repro.telemetry import (
 from repro.telemetry.spans import LeafBatch, Span
 from repro.telemetry.export import (
     chrome_trace,
-    darshan_records,
-    render_report,
-    span_breakdown,
-    spans_from_chrome,
     spans_from_dicts,
     spans_to_dicts,
     validate_chrome_trace,
+    write_jobs,
 )
 from repro.units import MiB
 
@@ -383,16 +381,6 @@ class TestChromeTrace:
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "M"}
         assert names == {"process_name", "thread_name"}
 
-    def test_chrome_round_trip_preserves_tree(self):
-        spans = spans_of(store_run("hashtable").traces)
-        back = spans_from_chrome(json.loads(json.dumps(chrome_trace(spans))))
-        assert len(back) == len(spans)
-        for a, b in zip(spans, back):
-            assert (a.span_id, a.parent_id, a.name, a.rank) == \
-                (b.span_id, b.parent_id, b.name, b.rank)
-            assert b.start_ns == pytest.approx(a.start_ns)
-            assert b.duration_ns == pytest.approx(a.duration_ns, abs=1e-3)
-
     def test_validator_flags_malformed_events(self):
         doc = {"traceEvents": [
             {"ph": "X", "pid": 0, "tid": 0},            # no name/ts/dur
@@ -409,60 +397,6 @@ class TestChromeTrace:
         spans = spans_of(store_run("hierarchical").traces)
         back = spans_from_dicts(json.loads(json.dumps(spans_to_dicts(spans))))
         assert [s.as_dict() for s in back] == [s.as_dict() for s in spans]
-
-
-class TestDarshanAndReport:
-    def test_records_per_rank_and_var(self):
-        res = store_run("hashtable", nprocs=2)
-        recs = darshan_records(res.traces)
-        assert [(r["rank"], r["var"]) for r in recs] == [(0, "A"), (1, "A")]
-        for r in recs:
-            assert r["writes"] == 1 and r["reads"] == 1
-            assert r["write_bytes"] == r["read_bytes"] == 512 * 8
-            assert r["errors"] == 0
-            assert r["slowest_ns"] > 0
-
-    def test_nested_driver_and_store_spans_not_double_counted(self):
-        from repro.baselines import get_driver
-
-        cl = cluster()
-
-        def fn(ctx):
-            comm = Communicator.world(ctx)
-            drv = get_driver("pmemcpy")
-            drv.open(ctx, comm, "/pmem/d", "w")
-            drv.def_var(ctx, "v", (comm.size, 64), np.float64)
-            drv.write(ctx, "v", np.zeros((1, 64)), (comm.rank, 0))
-            drv.close(ctx)
-
-        res = cl.run(1, fn)
-        recs = darshan_records(res.traces)
-        (rec,) = recs
-        assert rec["writes"] == 1            # driver.write only, not the
-        assert rec["write_bytes"] == 64 * 8  # nested pmemcpy.store too
-
-    def test_breakdown_self_time_excludes_children(self):
-        res = store_run("hashtable")
-        bd = span_breakdown(res.traces)
-        root = bd["pmemcpy.store"]
-        assert root["count"] == 2
-        # children carry (almost) all of the modeled time
-        assert root["self_ns"] <= 0.1 * root["total_ns"] + 1e-9
-        total_self = sum(b["self_ns"] for b in bd.values())
-        total_root = sum(
-            s.duration_ns for s in spans_of(res.traces)
-            if s.parent_id is None
-        )
-        assert total_self == pytest.approx(total_root)
-
-    def test_render_report_mentions_phases(self):
-        res = store_run("hashtable")
-        text = render_report(merged_metrics(res.traces), res.traces,
-                             title="unit")
-        assert "per-phase breakdown" in text
-        assert "pmemcpy.store" in text
-        assert "span.memcpy.ns" in text
-        assert "per-rank/per-variable I/O records" in text
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +474,6 @@ class TestDriverErrorAccounting:
         statuses = {s.name: s.status for s in spans_of(res.traces)}
         assert statuses == {"driver.write": "error:OSError",
                             "driver.read": "error:OSError"}
-        recs = darshan_records(res.traces)
-        assert recs[0]["errors"] == 2
 
     def test_successful_ops_still_charge_once(self):
         cl = cluster()
@@ -574,16 +506,18 @@ class TestDriverErrorAccounting:
 # harness integration
 # ---------------------------------------------------------------------------
 
-def test_job_result_carries_metrics_and_spans():
-    from repro.harness.experiment import run_io_experiment
+def small_job_results(directions=("write", "read")):
+    """PMCPY-B on a 40^3 domain over 2 ranks, one JobResult a direction."""
+    from repro.harness.experiment import PAPER_LIBRARIES, run_io_experiment
     from repro.workloads import Domain3D
 
     w = Domain3D(nvars=1, model_dims=(40, 40, 40), axis_scale=5)
-    (r,) = run_io_experiment(
-        "PMCPY-B", 2, w, directions=("write",),
-        driver_override=("pmemcpy", {"map_sync": True, "meta_stripes": 64,
-                                     "meta_rw": True}),
-    )
+    return run_io_experiment("PMCPY-B", 2, w, directions=directions,
+                             driver_override=PAPER_LIBRARIES["PMCPY-B"])
+
+
+def test_job_result_carries_metrics_and_spans():
+    (r,) = small_job_results(directions=("write",))
     assert r.job_id() == "PMCPY-B_write_2p"
     # typed registry serialized per job
     reg = MetricRegistry.from_dict(r.metrics)
@@ -599,18 +533,59 @@ def test_job_result_carries_metrics_and_spans():
 
 
 def test_telemetry_cli_report(tmp_path, capsys):
+    """``report DIR --job J`` prints J's critical path, then its registry;
+    with no ``--job``, every job's path and the merged registry."""
     from repro.telemetry.__main__ import main
 
-    res = store_run("hashtable")
-    trace_path = tmp_path / "run.trace.json"
-    trace_path.write_text(json.dumps(chrome_trace(res.traces)))
-    metrics_path = tmp_path / "metrics.json"
-    metrics_path.write_text(json.dumps(
-        {"job": merged_metrics(res.traces).as_dict()}))
-    rc = main(["report", "--trace", str(trace_path),
-               "--metrics", str(metrics_path), "--job", "job"])
+    (r,) = small_job_results(directions=("write",))
+    assert write_jobs(str(tmp_path), [r]) == []
+    rc = main(["report", str(tmp_path), "--job", r.job_id()])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "per-phase breakdown" in out
-    assert "pmemcpy.store" in out
-    assert "latency families" in out
+    assert f"== {r.job_id()}: critical path ==" in out
+    assert "critical-path share by span family:" in out
+    assert f"== {r.job_id()}: metric families ==" in out
+    assert "span.pmemcpy.store.ns" in out
+    assert out.index("critical path ==") < out.index("metric families ==")
+
+    assert main(["report", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert f"== {r.job_id()}: critical path ==" in out
+    assert "== all 1 jobs: metric families ==" in out
+
+
+def test_write_jobs_layout_is_what_report_reads(tmp_path, capsys):
+    """The one artifact layout: per job a valid Chrome trace and the
+    job's own repro-critpath/1 document byte for byte, plus one registry
+    map; ``report`` renders each job from it, and an unknown job exits 2
+    naming the jobs it has."""
+    from repro.telemetry.__main__ import main
+    from repro.telemetry.critpath import critpath_dumps, validate_critpath
+
+    results = small_job_results()
+    assert [r.job_id() for r in results] == \
+        ["PMCPY-B_write_2p", "PMCPY-B_read_2p"]
+    assert write_jobs(str(tmp_path), results) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{r.job_id()}.{kind}.json" for r in results
+         for kind in ("trace", "critpath")] + ["metrics.json"])
+    jobs = json.loads((tmp_path / "metrics.json").read_text())
+    assert jobs == {r.job_id(): r.metrics for r in results}
+    for r in results:
+        text = (tmp_path / f"{r.job_id()}.critpath.json").read_text()
+        assert text == critpath_dumps(r.critpath) + "\n"
+        doc = json.loads(text)
+        assert doc["source"] == "replay"
+        assert validate_critpath(doc) == []
+        trace = json.loads((tmp_path / f"{r.job_id()}.trace.json").read_text())
+        assert validate_chrome_trace(trace) == []
+        assert sum(e["ph"] == "X" for e in trace["traceEvents"]) == \
+            len(r.spans)
+        assert main(["report", str(tmp_path), "--job", r.job_id()]) == 0
+        out = capsys.readouterr().out
+        assert "critical-path share by span family:" in out
+        assert f"== {r.job_id()}: metric families ==" in out
+    assert main(["report", str(tmp_path), "--job", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "no job 'nope'" in err
+    assert "PMCPY-B_read_2p, PMCPY-B_write_2p" in err

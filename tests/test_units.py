@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import units
-from repro.units import (
-    GiB, GB, KiB, MiB, SEC, USEC,
-    fmt_bytes, fmt_time, parse_bandwidth, parse_size, parse_time,
-)
+from repro.units import GiB, GB, KiB, MiB, parse_bandwidth, parse_size
 
 
 class TestParseSize:
@@ -45,24 +42,6 @@ class TestParseSize:
             parse_size("MiB5")
 
 
-class TestParseTime:
-    def test_ns(self):
-        assert parse_time("300ns") == 300
-
-    def test_us(self):
-        assert parse_time("1.3us") == 1300
-
-    def test_s(self):
-        assert parse_time("5s") == 5 * SEC
-
-    def test_int_passthrough(self):
-        assert parse_time(42) == 42
-
-    def test_requires_suffix(self):
-        with pytest.raises(ValueError):
-            parse_time("42")
-
-
 class TestParseBandwidth:
     def test_gb_per_s(self):
         assert parse_bandwidth("30GB/s") == pytest.approx(30.0)  # bytes/ns
@@ -76,18 +55,6 @@ class TestParseBandwidth:
     def test_bad_denominator(self):
         with pytest.raises(ValueError):
             parse_bandwidth("30GB/fortnight")
-
-
-class TestFormatting:
-    def test_fmt_bytes(self):
-        assert fmt_bytes(0) == "0B"
-        assert fmt_bytes(GiB) == "1.00GiB"
-        assert fmt_bytes(1536) == "1.50KiB"
-
-    def test_fmt_time(self):
-        assert fmt_time(500) == "500ns"
-        assert fmt_time(2 * USEC) == "2.000us"
-        assert fmt_time(1.5 * SEC) == "1.500s"
 
 
 @given(st.integers(min_value=0, max_value=10**15))
